@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-fix lint-sarif bench bench-json load-smoke explore-smoke mc-smoke reproduce quick-reproduce fuzz cover clean
+.PHONY: all build test test-race vet lint lint-fix lint-sarif bench bench-json load-smoke explore-smoke mc-smoke reproduce reproduce-check quick-reproduce fuzz cover clean
 
 all: build vet lint test
 
@@ -91,6 +91,12 @@ explore-smoke:
 # crosscheck, summary).
 reproduce:
 	$(GO) run ./cmd/reproduce -out out
+
+# Regenerate the full reproduction into a scratch directory and fail
+# unless every committed artifact in out/ comes back byte-identical.
+reproduce-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/reproduce -out "$$tmp" > /dev/null && diff -r "$$tmp" out
 
 quick-reproduce:
 	$(GO) run ./cmd/reproduce -out out -quick

@@ -60,7 +60,8 @@ func BenchmarkTable5(b *testing.B) { benchTable(b, 5) }
 // BenchmarkPriorityLevelRule reproduces the paper's closing observation
 // of §5: at least |M|/4 priority levels are needed before the
 // highest-priority ratio exceeds 0.9 (run at a reduced size so that one
-// iteration stays affordable; cmd/tables -rule runs the full sweep).
+// iteration stays affordable; `reproduce tables -rule` runs the full
+// sweep).
 func BenchmarkPriorityLevelRule(b *testing.B) {
 	var res *exp.RuleSweepResult
 	var err error

@@ -112,7 +112,7 @@ type Element struct {
 // the paper's pseudocode idempotent.
 //
 // Instead of the dense [row][col] cell matrix of the reference engine
-// (dense.go), the diagram stores per-row bitsets plus one shared
+// (dense_test.go), the diagram stores per-row bitsets plus one shared
 // occupancy column:
 //
 //   - alloc[r] marks the slots row r transmits in (ALLOCATED);

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/exp"
+	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/stream"
 	"repro/internal/workload"
@@ -103,54 +105,65 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// Run executes the campaign.
+// Run executes the campaign. Trials are independent (one seed each)
+// and all run concurrently; the report lists them in trial order.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rep := &Report{Config: cfg, Trials: cfg.Trials}
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := cfg.Seed + int64(trial)*104729
-		wcfg := workload.PaperDefaults(cfg.Streams, cfg.PLevels, seed)
-		wcfg.UCap = cfg.UCap
-		set, analyzer, err := workload.Generate(wcfg)
+	trials, err := grid.Map(cfg.Trials, cfg.Trials, func(trial int) (*Report, error) {
+		rep, err := runTrial(cfg, trial)
 		if err != nil {
 			return nil, fmt.Errorf("crosscheck: trial %d: %w", trial, err)
 		}
-		us := make([]int, set.Len())
-		for _, s := range set.Streams {
-			if us[s.ID], err = analyzer.CalUSearchCap(s.ID, cfg.UCap); err != nil {
-				return nil, err
-			}
+		return rep, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Config: cfg, Trials: cfg.Trials}
+	for _, t := range trials {
+		rep.Checked += t.Checked
+		rep.WorstRatio = max(rep.WorstRatio, t.WorstRatio)
+		rep.Violations = append(rep.Violations, t.Violations...)
+	}
+	return rep, nil
+}
+
+// runTrial checks one generated workload, returning its tally as a
+// one-trial report.
+func runTrial(cfg Config, trial int) (*Report, error) {
+	rep := &Report{}
+	seed := cfg.Seed + int64(trial)*104729
+	wcfg := workload.PaperDefaults(cfg.Streams, cfg.PLevels, seed)
+	wcfg.UCap = cfg.UCap
+	set, analyzer, err := workload.Generate(wcfg)
+	if err != nil {
+		return nil, err
+	}
+	us, res, err := exp.BoundAndSimulate(set, analyzer, cfg.UCap, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.PerStream {
+		st := &res.PerStream[i]
+		if us[i] <= 0 || st.Observed == 0 {
+			continue
 		}
-		simulator, err := sim.New(set, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
-		if err != nil {
-			return nil, err
-		}
-		res := simulator.Run()
-		for i := range res.PerStream {
-			st := &res.PerStream[i]
-			if us[i] <= 0 || st.Observed == 0 {
-				continue
-			}
-			rep.Checked++
-			ratio := float64(st.MaxLatency) / float64(us[i])
-			if ratio > rep.WorstRatio {
-				rep.WorstRatio = ratio
-			}
-			if st.MaxLatency > us[i] {
-				victim := set.Get(stream.ID(i))
-				overlaps := 0
-				for _, o := range set.Streams {
-					if o.ID != victim.ID && o.Priority == victim.Priority && o.Path.Overlaps(victim.Path) {
-						overlaps++
-					}
+		rep.Checked++
+		rep.WorstRatio = max(rep.WorstRatio, float64(st.MaxLatency)/float64(us[i]))
+		if st.MaxLatency > us[i] {
+			victim := set.Get(stream.ID(i))
+			overlaps := 0
+			for _, o := range set.Streams {
+				if o.ID != victim.ID && o.Priority == victim.Priority && o.Path.Overlaps(victim.Path) {
+					overlaps++
 				}
-				rep.Violations = append(rep.Violations, Violation{
-					Trial: trial, Seed: seed,
-					Stream: victim.ID, Priority: victim.Priority,
-					U: us[i], MaxLatency: st.MaxLatency,
-					SamePriorityOverlaps: overlaps,
-				})
 			}
+			rep.Violations = append(rep.Violations, Violation{
+				Trial: trial, Seed: seed,
+				Stream: victim.ID, Priority: victim.Priority,
+				U: us[i], MaxLatency: st.MaxLatency,
+				SamePriorityOverlaps: overlaps,
+			})
 		}
 	}
 	return rep, nil

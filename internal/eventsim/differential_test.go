@@ -229,3 +229,30 @@ func TestDifferentialLongHorizon(t *testing.T) {
 		runBoth(t, set, cfg, fmt.Sprintf("paper/%v", arb))
 	}
 }
+
+// TestDifferentialPaperSeeds runs §5 workloads at the paper's horizon
+// that the short-horizon battery never reaches: 30000 flit times of the
+// preemptive arbiter on dense 20- and 60-stream sets, where long
+// contended stretches interleave with closed-form flight many times.
+func TestDifferentialPaperSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long horizon differential skipped in -short")
+	}
+	for _, w := range []struct {
+		streams, levels int
+		seed            int64
+	}{
+		{20, 4, 8922},
+		{20, 3, 42},
+		{60, 11, 15880},
+		{20, 4, 209465},
+		{20, 4, 314194},
+	} {
+		set, _, err := workload.Generate(workload.PaperDefaults(w.streams, w.levels, w.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: sim.Preemptive}
+		runBoth(t, set, cfg, fmt.Sprintf("paper/%d-%d-seed%d", w.streams, w.levels, w.seed))
+	}
+}

@@ -806,6 +806,12 @@ func (c *comp) tryRefresh() {
 			var w int
 			if m.candPrev {
 				w = c.parkWakeArb(m)
+				// A loser whose header also waits for a VC further on
+				// wakes at that grant too: the grant makes the new
+				// link a candidate no coverer was checked against.
+				if h := m.headerAt(); h < m.hops() && m.vcHeld[h] < 0 {
+					w = min(w, c.parkWakeVC(m))
+				}
 			} else {
 				w = c.parkWakeVC(m)
 			}

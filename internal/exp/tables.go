@@ -2,17 +2,19 @@
 // evaluation (§5) plus the worked examples of §4, wiring together the
 // workload generator, the delay-bound analyzer (package core), the
 // flit-level simulator (package sim) and the metrics aggregation. The
-// command-line tools (cmd/tables, cmd/figures) and the benchmark
-// harness (bench_test.go) are thin wrappers around this package.
+// cmd/reproduce subcommands and the benchmark harness (bench_test.go)
+// are thin wrappers around this package.
 package exp
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"repro/internal/core"
+	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -84,36 +86,23 @@ type TableResult struct {
 // RunTable generates the workload, computes every stream's delay upper
 // bound, simulates the network, and aggregates the ratio table —
 // averaged over the spec's trials. Trials are independent (one seed
-// each) and run concurrently.
+// each) and all run concurrently.
 func RunTable(spec TableSpec) (*TableResult, error) {
 	spec = spec.withDefaults()
-	out := &TableResult{Spec: spec}
+	tables, err := grid.Map(spec.Trials, spec.Trials, func(trial int) (*metrics.RatioTable, error) {
+		table, err := runTrial(spec, spec.Seed+int64(trial)*7919)
+		if err != nil {
+			return nil, fmt.Errorf("exp: trial %d: %w", trial, err)
+		}
+		return table, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &TableResult{Spec: spec, Trials: tables}
 	acc := map[int]*metrics.LevelRow{}
 	counts := map[int]int{}
-
-	type trialOut struct {
-		table *metrics.RatioTable
-		err   error
-	}
-	results := make([]trialOut, spec.Trials)
-	var wg sync.WaitGroup
-	for trial := 0; trial < spec.Trials; trial++ {
-		trial := trial
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			table, err := runTrial(spec, spec.Seed+int64(trial)*7919)
-			//rtwlint:ignore unsyncshared each trial writes only its own slot; wg.Wait orders the reads
-			results[trial] = trialOut{table, err}
-		}()
-	}
-	wg.Wait()
-	for trial, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("exp: trial %d: %w", trial, res.err)
-		}
-		table := res.table
-		out.Trials = append(out.Trials, table)
+	for _, table := range tables {
 		for _, row := range table.Rows {
 			a, ok := acc[row.Priority]
 			if !ok {
@@ -150,16 +139,7 @@ func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	us := make([]int, set.Len())
-	calc := analyzer.NewCalc()
-	for _, s := range set.Streams {
-		u, err := calc.CalUSearchCap(s.ID, 1<<16)
-		if err != nil {
-			return nil, err
-		}
-		us[s.ID] = u
-	}
-	simulator, err := sim.New(set, sim.Config{
+	us, res, err := BoundAndSimulate(set, analyzer, 0, sim.Config{
 		Cycles:  spec.Cycles,
 		Warmup:  spec.Warmup,
 		Arbiter: spec.Arbiter,
@@ -167,8 +147,30 @@ func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := simulator.Run()
 	return metrics.Build(spec.Name, set, us, res)
+}
+
+// BoundAndSimulate is the trial step of every §5 experiment: it
+// computes each stream's delay upper bound U with one reused Calc
+// (search capped at ucap flit times; 0 means 65536, a negative U means
+// no bound within the cap) and then simulates the set under cfg with
+// the cycle-accurate engine. us is indexed by stream ID.
+func BoundAndSimulate(set *stream.Set, a *core.Analyzer, ucap int, cfg sim.Config) (us []int, res *sim.Result, err error) {
+	if ucap == 0 {
+		ucap = 1 << 16
+	}
+	us = make([]int, set.Len())
+	calc := a.NewCalc()
+	for _, s := range set.Streams {
+		if us[s.ID], err = calc.CalUSearchCap(s.ID, ucap); err != nil {
+			return nil, nil, err
+		}
+	}
+	simulator, err := sim.New(set, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return us, simulator.Run(), nil
 }
 
 // Format renders the averaged table in the paper's style.

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/grid"
 )
@@ -116,65 +114,19 @@ func betterScore(a, b *PointResult) bool {
 	return a.Index < b.Index
 }
 
-// pointOut carries one evaluated point back to the merger, tagged with
-// its position so the merged slice is in input order regardless of
-// worker scheduling.
-type pointOut struct {
-	pos int
-	res PointResult
-	err error
-}
-
-// evaluateAll scores points[0..n) with a worker pool and merges the
-// results by position. Workers only send on a channel — a single
-// goroutine owns every slice write — and on failure the error of the
-// smallest failing position is propagated, so the outcome is identical
-// for every worker count and schedule.
+// evaluateAll scores points[0..n) on the shared ordered pool: results
+// merge by position and the error of the smallest failing position is
+// propagated, so the outcome is identical for every worker count.
 func evaluateAll(w Workload, sp Space, points []Point, cost CostModel, eval EvalConfig, seed int64, workers int) ([]PointResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 	placement := placementSeeds(sp, seed)
-	// Buffered so workers never block sending their last result.
-	jobs := make(chan int, len(points))
-	out := make(chan pointOut, len(points))
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := points[i]
-				res, err := Evaluate(w, p, cost, eval, placement[p.Topology])
-				out <- pointOut{pos: i, res: res, err: err}
-			}
-		}()
-	}
-	for i := range points {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(out)
-	results := make([]PointResult, len(points))
-	firstErr := -1
-	var errAt error
-	for o := range out {
-		if o.err != nil {
-			if firstErr < 0 || o.pos < firstErr {
-				firstErr, errAt = o.pos, o.err
-			}
-			continue
+	return grid.Map(len(points), workers, func(i int) (PointResult, error) {
+		p := points[i]
+		res, err := Evaluate(w, p, cost, eval, placement[p.Topology])
+		if err != nil {
+			return res, fmt.Errorf("explore: point %d (%s): %w", p.Index, p.Topology, err)
 		}
-		results[o.pos] = o.res
-	}
-	if firstErr >= 0 {
-		return nil, fmt.Errorf("explore: point %d (%s): %w", points[firstErr].Index, points[firstErr].Topology, errAt)
-	}
-	return results, nil
+		return res, nil
+	})
 }
 
 // JSON renders the result with stable indentation and a trailing

@@ -8,10 +8,15 @@
 // axis values, visited in a fixed lexicographic order, with any
 // randomness derived from a per-point seed rather than from visit
 // order — so the two cannot drift: a grid's point order, and therefore
-// every merged result, is a pure function of the axes.
+// every merged result, is a pure function of the axes. Map is the one
+// ordered worker pool every parallel study runs its points through.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"sync"
+)
 
 // Axis is one dimension of a sweep grid: a name (for diagnostics) and
 // the number of values on the axis. The values themselves stay typed
@@ -167,4 +172,62 @@ func NonNegativeInts(name string, vals []int) error {
 		}
 	}
 	return nil
+}
+
+// Map calls f(i) for every i in [0, n) on a pool of workers and returns
+// the results in index order. workers <= 0 means GOMAXPROCS. When calls
+// fail, the error of the smallest failing index is returned, so the
+// outcome is identical for every worker count and schedule. Workers
+// only send on a channel; the merge loop is the single owner of the
+// result slice.
+func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("grid: negative point count %d", n)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
+	type result struct {
+		i   int
+		v   T
+		err error
+	}
+	// Both channels hold every send, so neither the feeding loop nor a
+	// worker ever blocks.
+	jobs := make(chan int, n)
+	out := make(chan result, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				v, err := f(i)
+				out <- result{i, v, err}
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	close(out)
+	vals := make([]T, n)
+	failed := -1
+	var firstErr error
+	for r := range out {
+		if r.err != nil {
+			if failed < 0 || r.i < failed {
+				failed, firstErr = r.i, r.err
+			}
+			continue
+		}
+		vals[r.i] = r.v
+	}
+	if failed >= 0 {
+		return nil, firstErr
+	}
+	return vals, nil
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -116,5 +117,48 @@ func TestValidators(t *testing.T) {
 	}
 	if err := NonNegativeInts("depth", []int{-1}); err == nil {
 		t.Fatal("NonNegativeInts accepted -1")
+	}
+}
+
+// TestMapOrderAndFirstError pins the pool's contract at every width,
+// including more workers than points: results come back in index order,
+// and when several calls fail the smallest failing index's error wins
+// however the calls were scheduled.
+func TestMapOrderAndFirstError(t *testing.T) {
+	const n = 9
+	for _, workers := range []int{1, 2, 4, n + 3} {
+		got, err := Map(n, workers, func(i int) (int, error) { return i * i, nil })
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+		for rep := 0; rep < 20; rep++ {
+			_, err := Map(n, workers, func(i int) (int, error) {
+				if i == 3 || i == 4 || i == 8 {
+					return 0, fmt.Errorf("fail %d", i)
+				}
+				return i, nil
+			})
+			if err == nil || err.Error() != "fail 3" {
+				t.Fatalf("workers=%d: error %v, want fail 3", workers, err)
+			}
+		}
+	}
+	got, err := Map(0, 4, func(i int) (int, error) {
+		t.Fatalf("f called with %d for n = 0", i)
+		return 0, nil
+	})
+	if err != nil || len(got) != 0 {
+		t.Fatalf("n = 0: got %v, %v", got, err)
+	}
+	if _, err := Map(-1, 4, func(int) (int, error) { return 0, nil }); err == nil {
+		t.Fatal("accepted n = -1")
 	}
 }

@@ -12,8 +12,6 @@ package mc
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/eventsim"
 	"repro/internal/grid"
@@ -180,60 +178,16 @@ func Run(cfg Config) (*Result, error) {
 	if engine == "" {
 		engine = EngineCycle
 	}
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	total := len(points) * cfg.Seeds
-	if workers > total {
-		workers = total
-	}
-
-	// Workers only send on a channel — the merge loop below is the
-	// single owner of every slice write — and the error of the
-	// smallest replication index wins, so the outcome is identical for
-	// every worker count and schedule.
-	type repOut struct {
-		pos int
-		rep Replication
-		err error
-	}
-	// Buffered so workers never block sending their last result.
-	jobs := make(chan int, total)
-	out := make(chan repOut, total)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				pi, si := i/cfg.Seeds, i%cfg.Seeds
-				rep, err := runReplication(points[pi], pi, si,
-					grid.PointSeed(cfg.BaseSeed, i), engine, cfg.Check)
-				out <- repOut{pos: i, rep: rep, err: err}
-			}
-		}()
-	}
-	for i := 0; i < total; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(out)
-	reps := make([]Replication, total)
-	firstErr := -1
-	var errAt error
-	for o := range out {
-		if o.err != nil {
-			if firstErr < 0 || o.pos < firstErr {
-				firstErr, errAt = o.pos, o.err
-			}
-			continue
+	reps, err := grid.Map(len(points)*cfg.Seeds, cfg.Workers, func(i int) (Replication, error) {
+		pi, si := i/cfg.Seeds, i%cfg.Seeds
+		rep, err := runReplication(points[pi], pi, si, grid.PointSeed(cfg.BaseSeed, i), engine, cfg.Check)
+		if err != nil {
+			return rep, fmt.Errorf("mc: point %d seed %d: %w", pi, si, err)
 		}
-		reps[o.pos] = o.rep
-	}
-	if firstErr >= 0 {
-		return nil, fmt.Errorf("mc: point %d seed %d: %w", firstErr/cfg.Seeds, firstErr%cfg.Seeds, errAt)
+		return rep, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{Seeds: cfg.Seeds, BaseSeed: cfg.BaseSeed, Engine: engine, Replications: reps}

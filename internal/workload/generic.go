@@ -10,14 +10,11 @@ import (
 	"repro/internal/topology"
 )
 
-// GenerateOn is Generate for an arbitrary topology: the paper's §5
-// geometry (distinct uniform sources, uniform destinations, uniform C,
-// T and priority, optional period inflation) realised on t with its
-// canonical deterministic router instead of the fixed 10×10 mesh.
-// cfg.MeshW and cfg.MeshH are ignored; every other field keeps its
-// Generate meaning. The random draw order matches Generate exactly, so
-// GenerateOn(NewMesh2D(w,h), cfg) with cfg.MeshW=w, cfg.MeshH=h is
-// byte-identical to Generate(cfg) — pinned by tests — and a seed swept
+// GenerateOn is the paper's §5 generator — distinct uniform sources,
+// uniform destinations, uniform C, T and priority, optional period
+// inflation — realised on t with its canonical deterministic router.
+// Generate is GenerateOn on a mesh. cfg.MeshW and cfg.MeshH are
+// ignored; every other field keeps its Generate meaning. A seed swept
 // across topologies (cmd/netsim -topology, cmd/rtwexplore) changes
 // only the network, never the demand sequence.
 func GenerateOn(t topology.Topology, cfg Config) (*stream.Set, *core.Analyzer, error) {
@@ -53,7 +50,7 @@ func GenerateOn(t topology.Topology, cfg Config) (*stream.Set, *core.Analyzer, e
 	if !cfg.InflatePeriods {
 		return set, a, nil
 	}
-	return inflatePeriods(set, a, cfg)
+	return InflatePeriods(set, a, cfg.UCap)
 }
 
 // validateOn checks the topology-independent fields against t.

@@ -58,12 +58,6 @@ func (p Pattern) String() string {
 // maps the source to itself (callers skip such sources).
 func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot topology.NodeID, rng *rand.Rand) (topology.NodeID, bool) {
 	switch p {
-	case Uniform:
-		dst := src
-		for dst == src {
-			dst = topology.NodeID(rng.Intn(m.Nodes()))
-		}
-		return dst, true
 	case Transpose:
 		x, y := m.XY(src)
 		if x == y {
@@ -96,25 +90,29 @@ func (p Pattern) destination(m *topology.Mesh2D, src topology.NodeID, hotspot to
 	return src, false
 }
 
-// GeneratePattern is Generate with a destination pattern. Sources are
-// distinct random nodes; sources the pattern cannot serve (fixed points
-// like the transpose diagonal) are skipped and replaced, so the
-// requested stream count is always produced when enough nodes remain.
+// GeneratePattern is Generate with a destination pattern; Uniform is
+// Generate itself. Sources are distinct random nodes; sources the
+// pattern cannot serve (fixed points like the transpose diagonal) are
+// skipped and replaced, so the requested stream count is always
+// produced when enough nodes remain.
 func GeneratePattern(cfg Config, pattern Pattern) (*stream.Set, *core.Analyzer, error) {
-	if err := cfg.validate(); err != nil {
+	if pattern == Uniform {
+		return Generate(cfg)
+	}
+	m, err := cfg.mesh()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := cfg.validateOn(m); err != nil {
 		return nil, nil, err
 	}
 	if pattern == Transpose && cfg.MeshW != cfg.MeshH {
 		return nil, nil, fmt.Errorf("workload: transpose needs a square mesh, got %dx%d", cfg.MeshW, cfg.MeshH)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := topology.NewMesh2D(cfg.MeshW, cfg.MeshH)
 	router := routing.NewXY(m)
 	set := stream.NewSet(m)
 
-	// Draw order matters: with the Uniform pattern the rng consumption
-	// must match Generate exactly, so the hotspot node is only drawn
-	// when the pattern needs one.
 	perm := rng.Perm(m.Nodes())
 	var hotspot topology.NodeID
 	if pattern == Hotspot {
@@ -146,51 +144,5 @@ func GeneratePattern(cfg Config, pattern Pattern) (*stream.Set, *core.Analyzer, 
 	if !cfg.InflatePeriods {
 		return set, a, nil
 	}
-	return inflatePeriods(set, a, cfg)
-}
-
-// inflatePeriods applies the paper's accommodation rule (shared by
-// Generate and GeneratePattern).
-func inflatePeriods(set *stream.Set, a *core.Analyzer, cfg Config) (*stream.Set, *core.Analyzer, error) {
-	ucap := cfg.UCap
-	if ucap == 0 {
-		ucap = 1 << 16
-	}
-	var err error
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		calc := a.NewCalc()
-		for _, s := range set.Streams {
-			u, err := calc.CalUSearchCap(s.ID, ucap)
-			if err != nil {
-				return nil, nil, err
-			}
-			if u > s.Period {
-				s.Period = u
-				s.Deadline = u
-				changed = true
-			} else if u < 0 {
-				// Inflating past the search cap is pointless (the
-				// capped Cal_U search cannot use it) and the clamp
-				// keeps the quadrupling provably inside int64.
-				p := s.Period
-				if p < 1 {
-					p = 1
-				}
-				if p > core.MaxSearchHorizon/4 {
-					p = core.MaxSearchHorizon / 4
-				}
-				s.Period = p * 4
-				s.Deadline = s.Period
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		if a, err = core.NewAnalyzer(set); err != nil {
-			return nil, nil, err
-		}
-	}
-	return set, a, nil
+	return InflatePeriods(set, a, cfg.UCap)
 }

@@ -18,10 +18,8 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/routing"
 	"repro/internal/stream"
 	"repro/internal/topology"
 )
@@ -57,68 +55,77 @@ func PaperDefaults(streams, plevels int, seed int64) Config {
 	}
 }
 
-func (c Config) validate() error {
+// mesh returns the configured mesh, rejecting degenerate dimensions;
+// GenerateOn's validateOn checks every other field against it.
+func (c Config) mesh() (*topology.Mesh2D, error) {
 	if c.MeshW < 2 || c.MeshH < 1 {
-		return fmt.Errorf("workload: invalid mesh %dx%d", c.MeshW, c.MeshH)
+		return nil, fmt.Errorf("workload: invalid mesh %dx%d", c.MeshW, c.MeshH)
 	}
-	if c.Streams < 1 || c.Streams > c.MeshW*c.MeshH {
-		return fmt.Errorf("workload: %d streams on %d nodes", c.Streams, c.MeshW*c.MeshH)
-	}
-	if c.PLevels < 1 {
-		return fmt.Errorf("workload: %d priority levels", c.PLevels)
-	}
-	if c.CMin < 1 || c.CMax < c.CMin {
-		return fmt.Errorf("workload: invalid C range [%d,%d]", c.CMin, c.CMax)
-	}
-	if c.TMin < 1 || c.TMax < c.TMin {
-		return fmt.Errorf("workload: invalid T range [%d,%d]", c.TMin, c.TMax)
-	}
-	return nil
+	return topology.NewMesh2D(c.MeshW, c.MeshH), nil
 }
 
-// Generate builds a stream set per the configuration. Sources are
-// distinct nodes (each node sources at most one stream); destinations
-// are uniform over the other nodes. Priorities are uniform over
-// 1..PLevels (larger = more important). When InflatePeriods is set, the
-// paper's period-inflation rule is applied and the returned analyzer
-// reflects the final set.
+// Generate builds a stream set per the configuration on the
+// cfg.MeshW×cfg.MeshH mesh with X-Y routing. Sources are distinct nodes
+// (each node sources at most one stream); destinations are uniform over
+// the other nodes. Priorities are uniform over 1..PLevels (larger =
+// more important). When InflatePeriods is set, the paper's
+// period-inflation rule is applied and the returned analyzer reflects
+// the final set.
 func Generate(cfg Config) (*stream.Set, *core.Analyzer, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := topology.NewMesh2D(cfg.MeshW, cfg.MeshH)
-	router := routing.NewXY(m)
-	set := stream.NewSet(m)
-
-	// Distinct sources: a random permutation of the nodes.
-	perm := rng.Perm(m.Nodes())
-	for i := 0; i < cfg.Streams; i++ {
-		src := topology.NodeID(perm[i])
-		dst := src
-		for dst == src {
-			dst = topology.NodeID(rng.Intn(m.Nodes()))
-		}
-		prio := 1 + rng.Intn(cfg.PLevels)
-		period := cfg.TMin + rng.Intn(cfg.TMax-cfg.TMin+1)
-		length := cfg.CMin + rng.Intn(cfg.CMax-cfg.CMin+1)
-		if _, err := set.Add(router, src, dst, prio, period, length, period); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	a, err := core.NewAnalyzer(set)
+	m, err := cfg.mesh()
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.InflatePeriods {
-		return set, a, nil
+	return GenerateOn(m, cfg)
+}
+
+// InflatePeriods applies the paper's accommodation rule to set and
+// returns it with an analyzer for the final periods: if U_i > T_i,
+// raise T_i (and the deadline) to U_i. Raising periods only lowers
+// interference, so a bound computed against the heavier pre-inflation
+// demand remains valid; a few passes reach a fixpoint. Streams
+// saturated past the search cap have their periods quadrupled instead,
+// turning them into sporadic background traffic. ucap bounds the U
+// search; 0 means 65536 flit times.
+func InflatePeriods(set *stream.Set, a *core.Analyzer, ucap int) (*stream.Set, *core.Analyzer, error) {
+	if ucap == 0 {
+		ucap = 1 << 16
 	}
-	// The paper's accommodation rule: if U_i > T_i, raise T_i (and the
-	// deadline) to U_i. Raising periods only lowers interference, so a
-	// bound computed against the heavier pre-inflation demand remains
-	// valid; a few passes reach a fixpoint. Streams saturated past the
-	// search cap have their periods quadrupled instead, turning them
-	// into sporadic background traffic.
-	return inflatePeriods(set, a, cfg)
+	var err error
+	for pass := 0; pass < 8; pass++ {
+		changed := false
+		calc := a.NewCalc()
+		for _, s := range set.Streams {
+			u, err := calc.CalUSearchCap(s.ID, ucap)
+			if err != nil {
+				return nil, nil, err
+			}
+			if u > s.Period {
+				s.Period = u
+				s.Deadline = u
+				changed = true
+			} else if u < 0 {
+				// Inflating past the search cap is pointless (the
+				// capped Cal_U search cannot use it) and the clamp
+				// keeps the quadrupling provably inside int64.
+				p := s.Period
+				if p < 1 {
+					p = 1
+				}
+				if p > core.MaxSearchHorizon/4 {
+					p = core.MaxSearchHorizon / 4
+				}
+				s.Period = p * 4
+				s.Deadline = s.Period
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+		if a, err = core.NewAnalyzer(set); err != nil {
+			return nil, nil, err
+		}
+	}
+	return set, a, nil
 }
