@@ -468,6 +468,26 @@ func BenchmarkCalU(b *testing.B) {
 	}
 }
 
+// BenchmarkInflatePeriods measures the paper's period inflation on the
+// reproduction's heaviest generation trial: Table 2's 60 streams at
+// one priority level, third trial (seed 1002+2·7919). Each iteration
+// inflates a freshly generated, not yet inflated copy.
+func BenchmarkInflatePeriods(b *testing.B) {
+	cfg := workload.PaperDefaults(60, 1, 16840)
+	cfg.InflatePeriods = false
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, a, err := workload.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := workload.InflatePeriods(a, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulator measures raw simulation throughput: cycles per
 // second on the paper's Table 3 workload.
 func BenchmarkSimulator(b *testing.B) {

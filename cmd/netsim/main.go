@@ -124,8 +124,9 @@ func run(cycles, warmup int, arbiter string, buffer int, strict, bounds, heatmap
 			return err
 		}
 		us = make([]int, set.Len())
+		calc := a.NewCalc()
 		for _, s := range set.Streams {
-			if us[s.ID], err = a.CalUSearchCap(s.ID, 1<<16); err != nil {
+			if us[s.ID], err = calc.CalUSearchCap(s.ID, 1<<16); err != nil {
 				return err
 			}
 		}

@@ -151,29 +151,35 @@ func (a *Analyzer) CalUHorizon(id stream.ID, horizon int) (int, error) {
 // flit times means the HP demand saturates the stream's capacity.
 const MaxSearchHorizon = 1 << 21
 
-// CalUSearch computes the delay upper bound without a deadline cap: the
-// horizon is doubled (starting from the deadline or the latency,
-// whichever is larger) until the bound is found or MaxSearchHorizon is
-// exceeded. Because the diagram construction is window-local, a longer
-// horizon never changes earlier columns, so the first bound found is
-// the bound. Used by the simulation study, which inflates periods when
-// U > T rather than rejecting streams.
+// CalUSearch computes the delay upper bound without a deadline cap:
+// CalUSearchCap at MaxSearchHorizon. Used by the simulation study,
+// which inflates periods when U > T rather than rejecting streams.
 func (a *Analyzer) CalUSearch(id stream.ID) (int, error) {
 	return a.CalUSearchCap(id, MaxSearchHorizon)
 }
 
-// CalUSearchCap is CalUSearch with an explicit horizon cap; it returns
-// -1 when no bound exists within maxHorizon. Evaluation harnesses use a
-// cap near the simulated time — a bound beyond the experiment horizon
-// carries no information and is expensive to chase.
+// CalUSearchCap computes the delay upper bound on doubling horizons,
+// starting from the deadline or the latency, whichever is larger, up
+// to the last horizon within maxHorizon; it returns -1 when no bound
+// exists within maxHorizon. Evaluation harnesses use a cap near the
+// simulated time — a bound beyond the experiment horizon carries no
+// information and is expensive to chase.
 //
 // The diagram construction is window-local, but a period window
 // truncated by the horizon can place (and release) demand differently
 // from its complete version, and via chains propagate such boundary
 // effects inward by at most one period per chain hop. A bound u found
 // at horizon h is therefore only accepted once u plus that stability
-// margin fits inside h; otherwise the horizon keeps doubling. At the
-// cap the best-effort bound is returned.
+// margin (max HP period × (HP elements + 1)) fits inside h. Otherwise
+// the bound found at the largest horizon is returned, and a shorter
+// horizon's bound only when no longer horizon finds one.
+//
+// A bound is never below the stream's latency, so no horizon under
+// margin + latency can pass the acceptance test. The search skips
+// those horizons: it starts at the first horizon that can, or at the
+// last one when none can, and visits the skipped horizons, largest
+// first, only when no horizon from the start on finds a bound. The
+// result equals visiting every horizon in increasing order.
 func (a *Analyzer) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	return a.NewCalc().CalUSearchCap(id, maxHorizon)
 }

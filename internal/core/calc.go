@@ -76,13 +76,13 @@ func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 
 // CalUSearchCap computes the delay upper bound with a doubling-horizon
 // search capped at maxHorizon; see Analyzer.CalUSearchCap for the
-// search and stability-margin semantics. Unlike the one-shot path,
-// the search grows a single initial diagram incrementally — the
-// construction is window-local, so doubling the horizon lays out only
-// the new columns — and applies Modify to a clone per horizon (Modify
-// releases are not window-local, so the unmodified original is the one
-// that grows). Sets whose HP elements are all direct skip the clone
-// entirely: Modify would release nothing.
+// search, stability-margin and skip semantics. The search grows a
+// single initial diagram incrementally — the construction is
+// window-local, so doubling the horizon lays out only the new columns
+// — and applies Modify to a clone per horizon (Modify releases are not
+// window-local, so the unmodified original is the one that grows).
+// Sets whose HP elements are all direct skip the clone entirely:
+// Modify would release nothing.
 func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	s := c.a.Set.Get(id)
 	if s == nil {
@@ -91,7 +91,13 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	if maxHorizon < 1 {
 		return 0, fmt.Errorf("core: max horizon %d must be positive", maxHorizon)
 	}
-	elems := c.elements(id)
+	return c.search(c.elements(id), s.Deadline, s.Latency, maxHorizon)
+}
+
+// search is CalUSearchCap over an explicit HP element list (owned by
+// the diagrams it builds) for a stream with the given deadline and
+// latency.
+func (c *Calc) search(elems []Element, deadline, latency, maxHorizon int) (int, error) {
 	margin, hasIndirect := 0, false
 	for i := range elems {
 		if elems[i].Period > margin {
@@ -111,16 +117,24 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 	} else {
 		margin *= len(elems) + 1
 	}
-	h := s.Deadline
-	if s.Latency > h {
-		h = s.Latency
+	first := deadline
+	if latency > first {
+		first = latency
 	}
-	if h < 1 {
-		h = 1
+	if first < 1 {
+		first = 1
 	}
-	if h > maxHorizon {
+	if first > maxHorizon {
 		return -1, nil
 	}
+	// A bound is never below the latency, so no horizon under
+	// margin+latency can satisfy the acceptance test: start at the
+	// first horizon that can, or at the last one.
+	h := first
+	for h-latency < margin && h <= maxHorizon/2 {
+		h *= 2
+	}
+	start := h
 	c.ar.Reset()
 	init, err := newDiagram(elems, h, &c.ar)
 	if err != nil {
@@ -133,7 +147,7 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 			d = init.clone(&c.ar)
 			d.Modify()
 		}
-		if u := d.DelayUpperBound(s.Latency); u >= 0 {
+		if u := d.DelayUpperBound(latency); u >= 0 {
 			best = u
 			if u+margin <= h {
 				return u, nil
@@ -147,7 +161,27 @@ func (c *Calc) CalUSearchCap(id stream.ID, maxHorizon int) (int, error) {
 			return 0, err
 		}
 	}
-	return best, nil
+	if best >= 0 || !hasIndirect {
+		return best, nil
+	}
+	// No horizon from the start on found a bound. The result is the
+	// bound of the last skipped horizon that finds one, so visit them
+	// largest first. Without indirect elements the diagram is
+	// window-local and a skipped prefix could not have found one
+	// either.
+	for h = start; h > first; {
+		h /= 2
+		c.ar.Reset()
+		d, err := newDiagram(elems, h, &c.ar)
+		if err != nil {
+			return 0, err
+		}
+		d.Modify()
+		if u := d.DelayUpperBound(latency); u >= 0 {
+			return u, nil
+		}
+	}
+	return -1, nil
 }
 
 // CalUSearch is CalUSearchCap at the global MaxSearchHorizon.

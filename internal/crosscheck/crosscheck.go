@@ -134,12 +134,12 @@ func runTrial(cfg Config, trial int) (*Report, error) {
 	rep := &Report{}
 	seed := cfg.Seed + int64(trial)*104729
 	wcfg := workload.PaperDefaults(cfg.Streams, cfg.PLevels, seed)
-	wcfg.UCap = cfg.UCap
+	wcfg.InflatePeriods = false
 	set, analyzer, err := workload.Generate(wcfg)
 	if err != nil {
 		return nil, err
 	}
-	us, res, err := exp.BoundAndSimulate(set, analyzer, cfg.UCap, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
+	us, res, err := exp.BoundAndSimulate(analyzer, cfg.UCap, sim.Config{Cycles: cfg.Cycles, Warmup: cfg.Warmup})
 	if err != nil {
 		return nil, err
 	}

@@ -194,8 +194,9 @@ func (sys *System) Analyze() (*Report, error) {
 			return nil, err
 		}
 	}
+	calc := analyzer.NewCalc()
 	for _, s := range sys.Set.Streams {
-		if rep.StreamU[s.ID], err = analyzer.CalUSearchCap(s.ID, 1<<16); err != nil {
+		if rep.StreamU[s.ID], err = calc.CalUSearchCap(s.ID, 1<<16); err != nil {
 			return nil, err
 		}
 	}

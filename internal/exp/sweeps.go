@@ -180,10 +180,7 @@ func QuantizationSweep(streams int, vcCounts []int, seed int64, cycles int) ([]Q
 		if err != nil {
 			return nil, err
 		}
-		if set, analyzer, err = workload.InflatePeriods(set, analyzer, 0); err != nil {
-			return nil, err
-		}
-		us, res, err := BoundAndSimulate(set, analyzer, 0, sim.Config{Cycles: cycles, Warmup: 200})
+		us, res, err := BoundAndSimulate(analyzer, 0, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
 			return nil, err
 		}
@@ -236,10 +233,7 @@ func RouterLatencySweep(streams, plevels int, seed int64, depths []int, cycles i
 		if err != nil {
 			return nil, err
 		}
-		if set, analyzer, err = workload.InflatePeriods(set, analyzer, 0); err != nil {
-			return nil, err
-		}
-		us, res, err := BoundAndSimulate(set, analyzer, 0, sim.Config{Cycles: cycles, Warmup: 200})
+		us, res, err := BoundAndSimulate(analyzer, 0, sim.Config{Cycles: cycles, Warmup: 200})
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -135,11 +134,12 @@ func RunTable(spec TableSpec) (*TableResult, error) {
 
 func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
 	cfg := workload.PaperDefaults(spec.Streams, spec.PLevels, seed)
+	cfg.InflatePeriods = false
 	set, analyzer, err := workload.GeneratePattern(cfg, spec.Pattern)
 	if err != nil {
 		return nil, err
 	}
-	us, res, err := BoundAndSimulate(set, analyzer, 0, sim.Config{
+	us, res, err := BoundAndSimulate(analyzer, cfg.UCap, sim.Config{
 		Cycles:  spec.Cycles,
 		Warmup:  spec.Warmup,
 		Arbiter: spec.Arbiter,
@@ -151,22 +151,16 @@ func runTrial(spec TableSpec, seed int64) (*metrics.RatioTable, error) {
 }
 
 // BoundAndSimulate is the trial step of every §5 experiment: it
-// computes each stream's delay upper bound U with one reused Calc
-// (search capped at ucap flit times; 0 means 65536, a negative U means
-// no bound within the cap) and then simulates the set under cfg with
-// the cycle-accurate engine. us is indexed by stream ID.
-func BoundAndSimulate(set *stream.Set, a *core.Analyzer, ucap int, cfg sim.Config) (us []int, res *sim.Result, err error) {
-	if ucap == 0 {
-		ucap = 1 << 16
+// applies the paper's period inflation to a's not yet inflated set
+// (search capped at ucap flit times; 0 means 65536), which yields each
+// stream's delay upper bound U on the final periods (a negative U
+// means no bound within the cap), and then simulates the set under cfg
+// with the cycle-accurate engine. us is indexed by stream ID.
+func BoundAndSimulate(a *core.Analyzer, ucap int, cfg sim.Config) (us []int, res *sim.Result, err error) {
+	if us, err = workload.InflatePeriods(a, ucap); err != nil {
+		return nil, nil, err
 	}
-	us = make([]int, set.Len())
-	calc := a.NewCalc()
-	for _, s := range set.Streams {
-		if us[s.ID], err = calc.CalUSearchCap(s.ID, ucap); err != nil {
-			return nil, nil, err
-		}
-	}
-	simulator, err := sim.New(set, cfg)
+	simulator, err := sim.New(a.Set, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

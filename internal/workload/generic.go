@@ -47,10 +47,12 @@ func GenerateOn(t topology.Topology, cfg Config) (*stream.Set, *core.Analyzer, e
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.InflatePeriods {
-		return set, a, nil
+	if cfg.InflatePeriods {
+		if _, err := InflatePeriods(a, cfg.UCap); err != nil {
+			return nil, nil, err
+		}
 	}
-	return InflatePeriods(set, a, cfg.UCap)
+	return set, a, nil
 }
 
 // validateOn checks the topology-independent fields against t.

@@ -141,8 +141,10 @@ func GeneratePattern(cfg Config, pattern Pattern) (*stream.Set, *core.Analyzer, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if !cfg.InflatePeriods {
-		return set, a, nil
+	if cfg.InflatePeriods {
+		if _, err := InflatePeriods(a, cfg.UCap); err != nil {
+			return nil, nil, err
+		}
 	}
-	return InflatePeriods(set, a, cfg.UCap)
+	return set, a, nil
 }

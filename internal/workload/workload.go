@@ -79,32 +79,77 @@ func Generate(cfg Config) (*stream.Set, *core.Analyzer, error) {
 	return GenerateOn(m, cfg)
 }
 
-// InflatePeriods applies the paper's accommodation rule to set and
-// returns it with an analyzer for the final periods: if U_i > T_i,
-// raise T_i (and the deadline) to U_i. Raising periods only lowers
-// interference, so a bound computed against the heavier pre-inflation
-// demand remains valid; a few passes reach a fixpoint. Streams
+// InflatePeriods applies the paper's accommodation rule to a's stream
+// set in place and returns every stream's delay upper bound on the
+// final periods (indexed by stream ID; -1 means no bound within the
+// search cap): if U_i > T_i, raise T_i (and the deadline) to U_i.
+// Raising periods only lowers interference, so a bound computed
+// against the heavier pre-inflation demand remains valid. Streams
 // saturated past the search cap have their periods quadrupled instead,
-// turning them into sporadic background traffic. ucap bounds the U
+// turning them into sporadic background traffic. Passes run in stream
+// ID order until one changes nothing, but at most eight: dense sets
+// often stop at that cap with periods still changing (55 of the 102
+// trials of the paper reproduction do), so the returned bounds are
+// recomputed wherever the last pass left them stale. ucap bounds the U
 // search; 0 means 65536 flit times.
-func InflatePeriods(set *stream.Set, a *core.Analyzer, ucap int) (*stream.Set, *core.Analyzer, error) {
+//
+// HP sets depend only on paths and priorities, so a stays valid
+// throughout. A stream's bound depends only on the periods of its HP
+// set, and what a pass does with the bound only on the stream's own
+// period (its deadline moves with it), so a pass recomputes a stream
+// only when one of those periods changed since its last computation:
+// any other stream would get the same bound and change nothing.
+func InflatePeriods(a *core.Analyzer, ucap int) ([]int, error) {
 	if ucap == 0 {
 		ucap = 1 << 16
 	}
-	var err error
+	set := a.Set
+	n := set.Len()
+	hp := make([][]core.HPElem, n) // HP set members, the owner included
+	for i := range hp {
+		h, err := a.HP(stream.ID(i))
+		if err != nil {
+			return nil, err
+		}
+		hp[i] = h.Elems
+	}
+	// One clock orders bound computations and period changes:
+	// computedAt[i] is the tick of stream i's last bound (0 = none yet),
+	// changedAt[i] the tick of its last period change.
+	tick := 0
+	computedAt, changedAt := make([]int, n), make([]int, n)
+	stale := func(id stream.ID) bool {
+		if computedAt[id] == 0 {
+			return true
+		}
+		for _, e := range hp[id] {
+			if changedAt[e.ID] > computedAt[id] {
+				return true
+			}
+		}
+		return false
+	}
+	calc := a.NewCalc()
+	us := make([]int, n)
+	bound := func(id stream.ID) (err error) {
+		tick++
+		computedAt[id] = tick
+		us[id], err = calc.CalUSearchCap(id, ucap)
+		return err
+	}
 	for pass := 0; pass < 8; pass++ {
 		changed := false
-		calc := a.NewCalc()
 		for _, s := range set.Streams {
-			u, err := calc.CalUSearchCap(s.ID, ucap)
-			if err != nil {
-				return nil, nil, err
+			if !stale(s.ID) {
+				continue
 			}
-			if u > s.Period {
+			if err := bound(s.ID); err != nil {
+				return nil, err
+			}
+			switch u := us[s.ID]; {
+			case u > s.Period:
 				s.Period = u
-				s.Deadline = u
-				changed = true
-			} else if u < 0 {
+			case u < 0:
 				// Inflating past the search cap is pointless (the
 				// capped Cal_U search cannot use it) and the clamp
 				// keeps the quadrupling provably inside int64.
@@ -116,16 +161,24 @@ func InflatePeriods(set *stream.Set, a *core.Analyzer, ucap int) (*stream.Set, *
 					p = core.MaxSearchHorizon / 4
 				}
 				s.Period = p * 4
-				s.Deadline = s.Period
-				changed = true
+			default:
+				continue
 			}
+			s.Deadline = s.Period
+			tick++
+			changedAt[s.ID] = tick
+			changed = true
 		}
 		if !changed {
-			break
-		}
-		if a, err = core.NewAnalyzer(set); err != nil {
-			return nil, nil, err
+			return us, nil
 		}
 	}
-	return set, a, nil
+	for _, s := range set.Streams {
+		if stale(s.ID) {
+			if err := bound(s.ID); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return us, nil
 }
