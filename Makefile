@@ -55,7 +55,7 @@ bench:
 # converted to JSON at the repo root (committed; see
 # docs/PERFORMANCE.md for the tracked numbers and how to compare).
 bench-json:
-	$(GO) test -run '^$$' -bench '^(BenchmarkTable[1-5]|BenchmarkCalU|BenchmarkInflatePeriods|BenchmarkHPSetConstruction|BenchmarkSimulator|BenchmarkEventSim|BenchmarkMCReplications|BenchmarkAdmitIncremental|BenchmarkAdmitFull|BenchmarkDaemonLoad|BenchmarkExploreSweep|BenchmarkLintRepo)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkTable[1-5]|BenchmarkCalU|BenchmarkCalUDeadline|BenchmarkInflatePeriods|BenchmarkHPSetConstruction|BenchmarkSimulator|BenchmarkEventSim|BenchmarkMCReplications|BenchmarkAdmitIncremental|BenchmarkAdmitFull|BenchmarkDaemonLoad|BenchmarkExploreSweep|BenchmarkLintRepo)$$' \
 		-benchtime=1x -benchmem . | $(GO) run ./cmd/benchjson -o BENCH_core.json
 
 # Short deterministic load run against a hermetic in-process daemon:

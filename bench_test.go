@@ -12,6 +12,7 @@ import (
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/loader"
+	"repro/internal/loadgen"
 	"repro/internal/mc"
 	"repro/internal/place"
 	"repro/internal/routing"
@@ -465,6 +466,102 @@ func BenchmarkCalU(b *testing.B) {
 		if _, err := a.CalU(4); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCalUDeadline measures Cal_U at the deadline — the bound
+// every admission decision computes — on the live sets the admission
+// load's default schedule (loadgen.DefaultScheduleConfig, seed 1)
+// passes through. Two streams are timed: the one with a non-empty,
+// direct-only HP set whose deadline exceeds its bound by the largest
+// factor, where the diagram stops growing once the bound appears, and
+// the indirect one with the largest diagram (deadline × HP elements),
+// which is laid out over the whole deadline.
+func BenchmarkCalUDeadline(b *testing.B) {
+	cfg := loadgen.DefaultScheduleConfig(200, 150, 1)
+	sched, err := loadgen.BuildSchedule(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mesh := topology.NewMesh2D(cfg.Workload.MeshW, cfg.Workload.MeshH)
+	router := routing.NewXY(mesh)
+	type pick struct {
+		a     *core.Analyzer
+		id    stream.ID
+		score float64
+	}
+	var direct, indirect pick
+	type ref struct{ seq, idx int }
+	var live []ref
+	specs := map[ref]admit.Spec{}
+	for _, op := range sched.Ops {
+		switch op.Kind {
+		case loadgen.OpAdmit, loadgen.OpJob:
+			for i, sp := range op.Specs {
+				live = append(live, ref{op.Seq, i})
+				specs[ref{op.Seq, i}] = sp
+			}
+		case loadgen.OpWithdraw:
+			for i, r := range live {
+				if r == (ref{op.Ref, op.RefIdx}) {
+					live = append(live[:i], live[i+1:]...)
+					break
+				}
+			}
+		default:
+			continue
+		}
+		set := stream.NewSet(mesh)
+		for _, r := range live {
+			sp := specs[r]
+			if _, err := set.Add(router, sp.Src, sp.Dst, sp.Priority, sp.Period, sp.Length, sp.Deadline); err != nil {
+				b.Fatal(err)
+			}
+		}
+		a, err := core.NewAnalyzer(set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range set.Streams {
+			hp, err := a.HP(s.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			elems := hp.WithoutOwner()
+			hasIndirect := false
+			for _, e := range elems {
+				hasIndirect = hasIndirect || e.Mode == core.Indirect
+			}
+			if hasIndirect {
+				if cells := float64(s.Deadline) * float64(len(elems)); cells > indirect.score {
+					indirect = pick{a, s.ID, cells}
+				}
+				continue
+			}
+			u, err := a.CalU(s.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(elems) > 0 && u > 0 && float64(s.Deadline)/float64(u) > direct.score {
+				direct = pick{a, s.ID, float64(s.Deadline) / float64(u)}
+			}
+		}
+	}
+	if direct.a == nil || indirect.a == nil {
+		b.Fatal("schedule lacks a direct-only or an indirect stream")
+	}
+	for _, bc := range []struct {
+		name string
+		p    pick
+	}{{"direct", direct}, {"indirect", indirect}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := bc.p.a.NewCalc()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.CalU(bc.p.id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -133,7 +133,10 @@ func (a *Analyzer) InitialDiagram(id stream.ID, horizon int) (*Diagram, error) {
 
 // CalU computes the delay upper bound of the given stream with the
 // deadline as horizon (the paper's Cal_U). It returns -1 when the bound
-// does not exist within the deadline (the stream is infeasible).
+// does not exist within the deadline (the stream is infeasible). The
+// bound is the one the modified diagram over the whole deadline gives,
+// but only a diagram with indirect elements is laid out that far; see
+// Calc.CalUHorizon.
 //
 // CalU, CalUHorizon, CalUSearch and CalUSearchCap are one-shot
 // conveniences over a throwaway Calc; batch callers should hold a
@@ -142,7 +145,8 @@ func (a *Analyzer) CalU(id stream.ID) (int, error) {
 	return a.NewCalc().CalU(id)
 }
 
-// CalUHorizon computes the delay upper bound with an explicit horizon.
+// CalUHorizon computes the delay upper bound with an explicit horizon,
+// as Calc.CalUHorizon does.
 func (a *Analyzer) CalUHorizon(id stream.ID, horizon int) (int, error) {
 	return a.NewCalc().CalUHorizon(id, horizon)
 }

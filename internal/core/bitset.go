@@ -42,19 +42,37 @@ func (b bitset) orInto(dst bitset) {
 
 // lowestN returns x with all but its n lowest set bits cleared.
 func lowestN(x uint64, n int) uint64 {
-	var out uint64
-	for ; n > 0 && x != 0; n-- {
-		out |= x & -x
-		x &= x - 1
+	if n <= 0 {
+		return 0
 	}
-	return out
+	if n >= bits.OnesCount64(x) {
+		return x
+	}
+	return x & (^uint64(0) >> uint(63-nthSet(x, n)))
 }
 
 // nthSet returns the 0-indexed position of the n-th (1-indexed) set
-// bit of x. x must have at least n set bits.
+// bit of x. x must have at least n ≥ 1 set bits. The search halves the
+// candidate range six times, 32 bits down to 1.
 func nthSet(x uint64, n int) int {
-	for ; n > 1; n-- {
-		x &= x - 1
-	}
-	return bits.TrailingZeros64(x)
+	k, pos := uint64(n), uint64(0)
+	x, k, pos = selectHalf(x, k, pos, 32)
+	x, k, pos = selectHalf(x, k, pos, 16)
+	x, k, pos = selectHalf(x, k, pos, 8)
+	x, k, pos = selectHalf(x, k, pos, 4)
+	x, k, pos = selectHalf(x, k, pos, 2)
+	_, _, pos = selectHalf(x, k, pos, 1)
+	return int(pos)
+}
+
+// selectHalf is one step of nthSet's search. When the low w bits of x
+// hold fewer than k set bits, the k-th set bit lies above them: x
+// drops them, k drops their count and pos advances by w. The step is
+// branch-free — t is 1 exactly when the count is below k — because the
+// outcome of each step is a coin flip the branch predictor would miss.
+func selectHalf(x, k, pos, w uint64) (uint64, uint64, uint64) {
+	c := uint64(bits.OnesCount64(x & (1<<w - 1)))
+	t := (c - k) >> 63
+	s := w & -t
+	return x >> s, k - c&-t, pos + s
 }

@@ -51,6 +51,8 @@ func (c *Calc) elements(id stream.ID) []Element {
 // CalU computes the delay upper bound of the given stream with the
 // deadline as horizon (the paper's Cal_U). It returns -1 when the
 // bound does not exist within the deadline (the stream is infeasible).
+// The diagram it scans spans the deadline only when it must; see
+// CalUHorizon.
 func (c *Calc) CalU(id stream.ID) (int, error) {
 	s := c.a.Set.Get(id)
 	if s == nil {
@@ -59,19 +61,76 @@ func (c *Calc) CalU(id stream.ID) (int, error) {
 	return c.CalUHorizon(id, s.Deadline)
 }
 
-// CalUHorizon computes the delay upper bound with an explicit horizon.
+// CalUHorizon computes the delay upper bound with an explicit horizon:
+// the bound the modified diagram over the whole horizon gives, or -1
+// when that diagram holds fewer FREE slots than the stream's latency.
+// Only an HP set with indirect elements is laid out over the whole
+// horizon; a direct-only diagram grows until the bound appears.
 func (c *Calc) CalUHorizon(id stream.ID, horizon int) (int, error) {
 	s := c.a.Set.Get(id)
 	if s == nil {
 		return 0, fmt.Errorf("core: no stream %d", id)
 	}
+	return c.bound(c.elements(id), s.Latency, horizon)
+}
+
+// bound is CalUHorizon over an explicit HP element list (owned by the
+// diagram it builds) for a stream with the given latency.
+//
+// A diagram with an indirect element is built over the whole horizon
+// and modified: a release in any column re-lays out the rows below the
+// releasing row over the whole diagram, so a shorter diagram can
+// differ from the full one's prefix. Without indirect elements Modify
+// changes nothing and the layout is window-local — a window cut off at
+// h claims the same first free slots before h as the whole window — so
+// the first h columns of the result row equal the full diagram's. The
+// scan then needs only the prefix that holds the bound: the diagram
+// starts at the first power of two at or above max(latency, 64) and
+// doubles, capped at the horizon, until the bound appears.
+func (c *Calc) bound(elems []Element, latency, horizon int) (int, error) {
+	if horizon < 1 {
+		return 0, fmt.Errorf("core: horizon %d must be positive", horizon)
+	}
+	hasIndirect := false
+	for i := range elems {
+		if elems[i].Mode == Indirect {
+			hasIndirect = true
+			break
+		}
+	}
+	h := horizon
+	if !hasIndirect {
+		h = 64
+		for h < latency && h <= horizon/2 {
+			h *= 2
+		}
+		if h < latency || h > horizon {
+			h = horizon
+		}
+	}
 	c.ar.Reset()
-	d, err := newDiagram(c.elements(id), horizon, &c.ar)
+	d, err := newDiagram(elems, h, &c.ar)
 	if err != nil {
 		return 0, err
 	}
-	d.Modify()
-	return d.DelayUpperBound(s.Latency), nil
+	if hasIndirect {
+		d.Modify()
+		return d.DelayUpperBound(latency), nil
+	}
+	for {
+		u := d.DelayUpperBound(latency)
+		if u >= 0 || h == horizon {
+			return u, nil
+		}
+		if h > horizon/2 {
+			h = horizon
+		} else {
+			h *= 2
+		}
+		if err := d.Grow(h); err != nil {
+			return 0, err
+		}
+	}
 }
 
 // CalUSearchCap computes the delay upper bound with a doubling-horizon

@@ -567,10 +567,7 @@ func (d *Diagram) Modify() {
 			if relAlloc := rel & alloc[w]; relAlloc != 0 {
 				alloc[w] &^= relAlloc
 				d.occ[w] &^= relAlloc
-				for b := relAlloc; b != 0; b &= b - 1 {
-					col := w<<6 + bits.TrailingZeros64(b)
-					d.demand[row][col/e.Period]--
-				}
+				d.releaseDemand(row, w, relAlloc)
 				changed = true
 			}
 		}
@@ -583,6 +580,25 @@ func (d *Diagram) Modify() {
 			// higher-priority release re-scans this row.
 			d.layout(row + 1)
 		}
+	}
+}
+
+// releaseDemand takes the released allocated slots rel of word w off
+// the row's per-window demand: one division and one popcount per
+// period window that holds a released slot, not one division per slot.
+func (d *Diagram) releaseDemand(row, w int, rel uint64) {
+	period, dem := d.Elements[row].Period, d.demand[row]
+	base := w << 6
+	for rel != 0 {
+		col := base + bits.TrailingZeros64(rel)
+		k := col / period
+		// Bits of word w at or beyond offset end fall in later windows.
+		in := rel
+		if end := col - col%period + period - base; end < 64 {
+			in &= 1<<uint(end) - 1
+		}
+		dem[k] -= bits.OnesCount64(in)
+		rel &^= in
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the differential test battery between the optimized
-// bitset engine (diagram.go) and the dense reference engine (dense.go).
+// bitset engine (diagram.go) and the dense reference engine (dense_test.go).
 // The dense engine is the spec; every observable of the optimized
 // engine — every element row, the result row, the delay upper bound at
 // every required count, the free-slot prefix counts — must be
@@ -17,10 +17,14 @@ import (
 // the same comparison on fuzzer-decoded inputs.
 
 // randDiffElems generates a random valid HP element list: unique IDs,
-// positive periods/lengths, a random subset indirect with vias into
+// periods 2–25, lengths 1–7, a random subset indirect with vias into
 // the higher-ID (lower-priority) remainder, and occasional priority
 // ties to exercise the ID tie-break of the row sort.
-func randDiffElems(rng *rand.Rand) []Element {
+func randDiffElems(rng *rand.Rand) []Element { return randElems(rng, 2, 25, 7) }
+
+// randElems is randDiffElems with periods drawn from minPeriod to
+// maxPeriod and lengths from 1 to maxLength.
+func randElems(rng *rand.Rand, minPeriod, maxPeriod, maxLength int) []Element {
 	n := 1 + rng.Intn(7)
 	elems := make([]Element, n)
 	for i := range elems {
@@ -31,8 +35,8 @@ func randDiffElems(rng *rand.Rand) []Element {
 		elems[i] = Element{
 			ID:       stream.ID(i),
 			Priority: pri,
-			Period:   2 + rng.Intn(24),
-			Length:   1 + rng.Intn(7),
+			Period:   minPeriod + rng.Intn(maxPeriod-minPeriod+1),
+			Length:   1 + rng.Intn(maxLength),
 			Mode:     Direct,
 		}
 	}
@@ -125,6 +129,34 @@ func TestDifferentialThousandSets(t *testing.T) {
 	for trial := 0; trial < sets; trial++ {
 		elems := randDiffElems(rng)
 		horizon := 20 + rng.Intn(230)
+		ar.Reset()
+		opt, ref := buildBoth(t, &ar, elems, horizon)
+		assertDiagramsEqual(t, opt, ref, elems, "initial")
+		opt.Modify()
+		ref.Modify()
+		assertDiagramsEqual(t, opt, ref, elems, "modified")
+		opt.Modify()
+		ref.Modify()
+		assertDiagramsEqual(t, opt, ref, elems, "modified twice")
+	}
+}
+
+// TestDifferentialLongPeriods is the battery at periods 40–300,
+// lengths up to 60 and horizons up to ~2000: windows span word
+// boundaries, so claims stop mid-word and a released word holds slots
+// of two windows — the cases the word kernels (lowestN, nthSet and
+// Modify's per-window demand accounting) must get right, and which the
+// short periods of TestDifferentialThousandSets never produce.
+func TestDifferentialLongPeriods(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var ar Arena
+	sets := 1000
+	if testing.Short() {
+		sets = 200
+	}
+	for trial := 0; trial < sets; trial++ {
+		elems := randElems(rng, 40, 300, 60)
+		horizon := 64 + rng.Intn(1950)
 		ar.Reset()
 		opt, ref := buildBoth(t, &ar, elems, horizon)
 		assertDiagramsEqual(t, opt, ref, elems, "initial")

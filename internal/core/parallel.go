@@ -122,6 +122,19 @@ func calUPool(ids []stream.ID, workers int, newCalU func() func(stream.ID) (int,
 		workers = len(ids)
 	}
 	us := make([]int, len(ids))
+	if workers <= 1 {
+		// One worker or one job: run on the calling goroutine. The
+		// first failure is then the only one observed.
+		calU := newCalU()
+		for k, id := range ids {
+			u, err := calU(id)
+			if err != nil {
+				return nil, fmt.Errorf("stream %d: %w", id, err)
+			}
+			us[k] = u
+		}
+		return us, nil
+	}
 	// Buffered so the producer never blocks even if workers bail out
 	// early.
 	jobs := make(chan int, len(ids))
