@@ -41,8 +41,9 @@ lint-sarif:
 test:
 	$(GO) test ./...
 
-# The full suite under the race detector; the parallel Cal_U pool and
-# the simulator are the concurrency-bearing packages this protects.
+# The full suite under the race detector; the grid worker pool (which
+# runs the Cal_U batches) and the simulator are the concurrency-bearing
+# packages this protects.
 test-race:
 	$(GO) test -race ./...
 

@@ -653,18 +653,19 @@ func benchName(prefix string, v int) string {
 
 // ----- Online admission (internal/admit) ---------------------------------
 //
-// The pair below measures the value of incremental recomputation: one
-// stream churns (withdraw + re-admit) against a standing 50-stream
-// paper workload on the 10×10 mesh. The Incremental variant recomputes
-// only the HP-set dependents of the churned stream; the Full variant
-// (Config.FullRecompute) re-derives every bound, which is exactly the
-// offline Determine-Feasibility cost. Same controller, same code path,
-// same verdicts — the only difference is the dirty set.
+// The pair below measures the value of incremental recomputation: a
+// clone of one stream is probe-admitted against a standing 50-stream
+// paper workload on the 10×10 mesh. The Incremental variant runs the
+// controller, which recomputes only the HP-set dependents of the probe;
+// the Full variant runs the offline core.DetermineFeasibility over the
+// same 51 streams, re-deriving every bound. Same verdicts — the
+// difference is the warm HP state and the dirty set.
 
-func admitBenchSetup(b *testing.B, full bool) (*admit.Controller, []admit.Spec, []admit.Handle) {
+// admitBenchSpecs returns the standing workload (seed 13 keeps every
+// stream feasible, so the probes below never trip a rejection) and its
+// admission specs.
+func admitBenchSpecs(b *testing.B) (*stream.Set, []admit.Spec) {
 	b.Helper()
-	// Seed 13 yields a workload where every stream stays feasible, so
-	// the churn below never trips a rejection.
 	set, _, err := workload.Generate(workload.PaperDefaults(50, 15, 13))
 	if err != nil {
 		b.Fatal(err)
@@ -677,7 +678,14 @@ func admitBenchSetup(b *testing.B, full bool) (*admit.Controller, []admit.Spec, 
 			Length: s.Length, Deadline: s.Deadline,
 		}
 	}
-	c, err := admit.New(set.Topology, admit.Config{FullRecompute: full})
+	return set, specs
+}
+
+// BenchmarkAdmitIncremental: one single-stream admit per iteration,
+// recomputing only the dirty bounds.
+func BenchmarkAdmitIncremental(b *testing.B) {
+	set, specs := admitBenchSpecs(b)
+	c, err := admit.New(set.Topology, admit.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -688,22 +696,15 @@ func admitBenchSetup(b *testing.B, full bool) (*admit.Controller, []admit.Spec, 
 	if !res.Admitted {
 		b.Fatalf("benchmark workload infeasible: %s", res.Rejection)
 	}
-	return c, specs, res.Handles
-}
-
-func benchAdmitChurn(b *testing.B, full bool) {
-	c, specs, _ := admitBenchSetup(b, full)
 	recomputed := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Probe-admit a clone of stream k against the standing 50: the
-		// feasibility work runs in full either way. Only the admit is
-		// on the clock — the withdraw below merely restores the state
-		// for the next iteration (an accepted probe is always the last
-		// stream, so removing it recreates the baseline exactly) and
-		// would otherwise dominate both variants identically.
-		k := i % len(specs)
-		res, err := c.Admit(specs[k])
+		// Probe-admit a clone of stream k against the standing 50.
+		// Only the admit is on the clock — the withdraw below merely
+		// restores the state for the next iteration (an accepted probe
+		// is always the last stream, so removing it recreates the
+		// baseline exactly).
+		res, err := c.Admit(specs[i%len(specs)])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -719,13 +720,32 @@ func benchAdmitChurn(b *testing.B, full bool) {
 	b.ReportMetric(float64(recomputed)/float64(b.N), "recomputed/op")
 }
 
-// BenchmarkAdmitIncremental: one single-stream admit per iteration,
-// recomputing only the dirty bounds.
-func BenchmarkAdmitIncremental(b *testing.B) { benchAdmitChurn(b, false) }
-
-// BenchmarkAdmitFull: the same churn with FullRecompute — the cost an
-// admission controller would pay without dirty-set invalidation.
-func BenchmarkAdmitFull(b *testing.B) { benchAdmitChurn(b, true) }
+// BenchmarkAdmitFull: the same probes answered by the offline test —
+// the cost an admission controller would pay without a warm HP state
+// and dirty-set invalidation. The 51-stream probe sets are built
+// outside the timer.
+func BenchmarkAdmitFull(b *testing.B) {
+	set, _ := admitBenchSpecs(b)
+	n := set.Len()
+	probes := make([]*stream.Set, n)
+	for k, s := range set.Streams {
+		clone := *s
+		clone.ID = stream.ID(n)
+		p := *set
+		p.Streams = append(set.Streams[:n:n], &clone)
+		probes[k] = &p
+	}
+	recomputed := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := core.DetermineFeasibility(probes[i%len(probes)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		recomputed += len(rep.Verdicts)
+	}
+	b.ReportMetric(float64(recomputed)/float64(b.N), "recomputed/op")
+}
 
 // ----- Design-space explorer ------------------------------------------
 

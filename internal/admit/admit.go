@@ -9,11 +9,11 @@
 // a member of it (core.Dependents). The controller exploits that on
 // every mutation — it rebuilds the HP sets (cheap, see
 // docs/PERFORMANCE.md), recomputes U only for the BDG-reachable dirty
-// set through the pooled parallel Cal_U path, and keeps every other
-// stream's bound cached. An admission that would break any deadline —
-// the newcomer's or a victim's — rolls back without disturbing the
-// running system and returns a structured Rejection naming the
-// violated stream and its U versus its deadline.
+// set through core's batch Cal_U path on the grid pool, and keeps
+// every other stream's bound cached. An admission that would break any
+// deadline — the newcomer's or a victim's — rolls back without
+// disturbing the running system and returns a structured Rejection
+// naming the violated stream and its U versus its deadline.
 //
 // The differential battery in differential_test.go pins the central
 // invariant: after any admit/withdraw sequence, Report is
@@ -103,12 +103,6 @@ type Config struct {
 	// RouterLatency is the per-hop router pipeline depth shared by the
 	// machine (0 = the paper's single-cycle model).
 	RouterLatency int
-	// FullRecompute disables the incremental dirty-set optimization:
-	// every mutation recomputes every bound, exactly as the offline
-	// test would. It exists as a paranoia escape hatch and as the
-	// baseline of BenchmarkAdmitFull; results are identical either way
-	// (pinned by the differential battery).
-	FullRecompute bool
 	// Router overrides the topology's canonical deterministic router
 	// (nil = canonical). The design-space explorer uses it to sweep
 	// routing policies (X-Y versus Y-X on a mesh) through the same
@@ -208,21 +202,7 @@ func (c *Controller) Streams() []Admitted {
 func (c *Controller) Report() *core.Report {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.reportLocked()
-}
-
-func (c *Controller) reportLocked() *core.Report {
-	rep := &core.Report{Feasible: true, Verdicts: make([]core.Verdict, c.set.Len())}
-	for i, s := range c.set.Streams {
-		rep.Verdicts[i] = core.Verdict{
-			ID: s.ID, U: c.u[i], Deadline: s.Deadline,
-			Feasible: c.u[i] >= 0 && c.u[i] <= s.Deadline,
-		}
-		if !rep.Verdicts[i].Feasible {
-			rep.Feasible = false
-		}
-	}
-	return rep
+	return core.NewReport(c.set, c.u)
 }
 
 // Admit attempts to admit one stream; see AdmitBatch.
@@ -271,17 +251,9 @@ func (c *Controller) AdmitBatch(specs []Spec) (*Result, error) {
 	}
 
 	// The candidate analyzer validates the combined set (bad parameters
-	// surface here) and carries the HP sets the dirty set is read from.
-	// The incremental path warm-starts the HP fixpoint from the live
-	// analyzer (core.Analyzer.Extend); the FullRecompute baseline
-	// rebuilds from scratch, exactly as the offline test would.
-	var a *core.Analyzer
-	var err error
-	if c.cfg.FullRecompute {
-		a, err = core.NewAnalyzer(cand)
-	} else {
-		a, err = c.analyzer.Extend(cand)
-	}
+	// surface here) and carries the HP sets the dirty set is read from;
+	// it warm-starts the HP fixpoint from the live analyzer.
+	a, err := c.analyzer.Extend(cand)
 	if err != nil {
 		return nil, fmt.Errorf("admit: %w", err)
 	}
@@ -289,7 +261,7 @@ func (c *Controller) AdmitBatch(specs []Spec) (*Result, error) {
 	for k := range specs {
 		newIDs[k] = stream.ID(n + k)
 	}
-	dirty, err := c.dirtySet(a, cand.Len(), newIDs)
+	dirty, err := a.Dependents(newIDs...)
 	if err != nil {
 		return nil, err
 	}
@@ -306,17 +278,7 @@ func (c *Controller) AdmitBatch(specs []Spec) (*Result, error) {
 		newU[id] = us[k]
 	}
 
-	res := &Result{Recomputed: len(dirty)}
-	res.Report = &core.Report{Feasible: true, Verdicts: make([]core.Verdict, cand.Len())}
-	for i, s := range cand.Streams {
-		res.Report.Verdicts[i] = core.Verdict{
-			ID: s.ID, U: newU[i], Deadline: s.Deadline,
-			Feasible: newU[i] >= 0 && newU[i] <= s.Deadline,
-		}
-		if !res.Report.Verdicts[i].Feasible {
-			res.Report.Feasible = false
-		}
-	}
+	res := &Result{Recomputed: len(dirty), Report: core.NewReport(cand, newU)}
 	c.stats.Recomputed += int64(len(dirty))
 	c.stats.Cached += int64(cand.Len() - len(dirty))
 
@@ -384,7 +346,7 @@ func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 
 	// Dirty set read off the old HP sets (the ones still containing
 	// the leaving streams), then mapped to the compacted ID space.
-	dirtyOld, err := c.dirtySet(c.analyzer, c.set.Len(), ids)
+	dirtyOld, err := c.analyzer.Dependents(ids...)
 	if err != nil {
 		return 0, err
 	}
@@ -449,18 +411,4 @@ func (c *Controller) Withdraw(handles ...Handle) (int, error) {
 	c.stats.Recomputed += int64(len(dirty))
 	c.stats.Cached += int64(survivors.Len() - len(dirty))
 	return len(dirty), nil
-}
-
-// dirtySet returns the IDs whose bound a mutation of targets can
-// change: the targets' dependents, or every stream when the
-// incremental path is disabled.
-func (c *Controller) dirtySet(a *core.Analyzer, total int, targets []stream.ID) ([]stream.ID, error) {
-	if c.cfg.FullRecompute {
-		all := make([]stream.ID, total)
-		for i := range all {
-			all[i] = stream.ID(i)
-		}
-		return all, nil
-	}
-	return a.Dependents(targets...)
 }

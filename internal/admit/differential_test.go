@@ -83,8 +83,8 @@ func assertReportsIdentical(t *testing.T, got, want *core.Report, label string) 
 // TestDifferentialAdmitWithdraw is the acceptance-criterion battery:
 // seeded-random admit/withdraw sequences through the controller, with
 // the report checked byte-identical against the offline oracle after
-// every step. Both the incremental and the FullRecompute controller
-// run the same sequence, so the escape hatch is pinned too.
+// every step. Every trial runs the incremental controller, whose
+// Extend + Dependents path is the only admission path.
 func TestDifferentialAdmitWithdraw(t *testing.T) {
 	trials, steps := 25, 30
 	if testing.Short() {
@@ -101,8 +101,7 @@ func TestDifferentialAdmitWithdraw(t *testing.T) {
 		default:
 			topo = topology.NewHypercube(4)
 		}
-		full := trial%5 == 4
-		c, err := New(topo, Config{FullRecompute: full})
+		c, err := New(topo, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

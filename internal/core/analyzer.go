@@ -17,8 +17,8 @@ type Analyzer struct {
 	// its owner). NewAnalyzer materializes everything eagerly; Extend
 	// leaves rows lazy, so an admission that recomputes three bounds
 	// never pays for fifty HP-set materializations. Lazy fills are not
-	// synchronized — parallel batch paths touch their rows up front
-	// (see calUPool callers) before fanning out.
+	// synchronized — CalUBatchParallel touches its rows up front
+	// before fanning out.
 	hps []HPSet
 }
 
@@ -90,31 +90,13 @@ func (a *Analyzer) BDG(id stream.ID) (*BDG, error) {
 	return NewBDG(id, hp.WithoutOwner()), nil
 }
 
-// elements assembles the timing-diagram rows for id's HP set.
-func (a *Analyzer) elements(id stream.ID) []Element {
-	elems := a.hp(int(id)).WithoutOwner()
-	out := make([]Element, 0, len(elems))
-	for _, e := range elems {
-		s := a.Set.Get(e.ID)
-		out = append(out, Element{
-			ID:       s.ID,
-			Priority: s.Priority,
-			Period:   s.Period,
-			Length:   s.Length,
-			Mode:     e.Mode,
-			Via:      e.Via,
-		})
-	}
-	return out
-}
-
 // Diagram builds the final (modified) timing diagram for the given
 // stream over the given horizon.
 func (a *Analyzer) Diagram(id stream.ID, horizon int) (*Diagram, error) {
 	if _, err := a.HP(id); err != nil {
 		return nil, err
 	}
-	d, err := NewDiagram(a.elements(id), horizon)
+	d, err := NewDiagram(a.NewCalc().elements(id), horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +110,7 @@ func (a *Analyzer) InitialDiagram(id stream.ID, horizon int) (*Diagram, error) {
 	if _, err := a.HP(id); err != nil {
 		return nil, err
 	}
-	return NewDiagram(a.elements(id), horizon)
+	return NewDiagram(a.NewCalc().elements(id), horizon)
 }
 
 // CalU computes the delay upper bound of the given stream with the
@@ -138,29 +120,17 @@ func (a *Analyzer) InitialDiagram(id stream.ID, horizon int) (*Diagram, error) {
 // but only a diagram with indirect elements is laid out that far; see
 // Calc.CalUHorizon.
 //
-// CalU, CalUHorizon, CalUSearch and CalUSearchCap are one-shot
-// conveniences over a throwaway Calc; batch callers should hold a
-// Calc (see NewCalc) so its scratch buffers amortize across calls.
+// CalU and CalUSearchCap are one-shot conveniences over a throwaway
+// Calc; batch callers should hold a Calc (see NewCalc) so its scratch
+// buffers amortize across calls.
 func (a *Analyzer) CalU(id stream.ID) (int, error) {
 	return a.NewCalc().CalU(id)
 }
 
-// CalUHorizon computes the delay upper bound with an explicit horizon,
-// as Calc.CalUHorizon does.
-func (a *Analyzer) CalUHorizon(id stream.ID, horizon int) (int, error) {
-	return a.NewCalc().CalUHorizon(id, horizon)
-}
-
-// MaxSearchHorizon caps CalUSearch. A bound not found within this many
-// flit times means the HP demand saturates the stream's capacity.
+// MaxSearchHorizon is the widest CalUSearchCap search, for bounds
+// without a deadline cap. A bound not found within this many flit
+// times means the HP demand saturates the stream's capacity.
 const MaxSearchHorizon = 1 << 21
-
-// CalUSearch computes the delay upper bound without a deadline cap:
-// CalUSearchCap at MaxSearchHorizon. Used by the simulation study,
-// which inflates periods when U > T rather than rejecting streams.
-func (a *Analyzer) CalUSearch(id stream.ID) (int, error) {
-	return a.CalUSearchCap(id, MaxSearchHorizon)
-}
 
 // CalUSearchCap computes the delay upper bound on doubling horizons,
 // starting from the deadline or the latency, whichever is larger, up
@@ -196,19 +166,46 @@ type Verdict struct {
 	Feasible bool // U >= 0 && U <= Deadline
 }
 
+// newVerdict applies the paper's verdict rule to stream s with bound u.
+func newVerdict(s *stream.Stream, u int) Verdict {
+	return Verdict{ID: s.ID, U: u, Deadline: s.Deadline, Feasible: u >= 0 && u <= s.Deadline}
+}
+
 // Report is the outcome of DetermineFeasibility for a whole set.
 type Report struct {
 	Verdicts []Verdict
 	Feasible bool // all streams feasible
 }
 
+// NewReport builds the feasibility report of set from its delay upper
+// bounds, u[i] being the bound of set.Streams[i]: the set is feasible
+// iff every bound exists and is at most its stream's deadline. Every
+// report — the offline test's and the admission controller's — is
+// built here.
+func NewReport(set *stream.Set, u []int) *Report {
+	rep := &Report{Feasible: true, Verdicts: make([]Verdict, set.Len())}
+	for i, s := range set.Streams {
+		rep.Verdicts[i] = newVerdict(s, u[i])
+		rep.Feasible = rep.Feasible && rep.Verdicts[i].Feasible
+	}
+	return rep
+}
+
 // DetermineFeasibility runs the paper's Determine-Feasibility: it
-// computes U for every stream (highest priority first) and succeeds iff
-// every U exists and is at most the stream's deadline.
+// computes U for every stream with one Calc and succeeds iff every U
+// exists and is at most the stream's deadline.
 func DetermineFeasibility(set *stream.Set) (*Report, error) {
 	a, err := NewAnalyzer(set)
 	if err != nil {
 		return nil, err
 	}
-	return a.NewCalc().Feasibility()
+	ids := make([]stream.ID, set.Len())
+	for i := range ids {
+		ids[i] = stream.ID(i)
+	}
+	u, err := a.CalUBatchParallel(ids, 1)
+	if err != nil {
+		return nil, err
+	}
+	return NewReport(set, u), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/grid"
 	"repro/internal/stream"
 )
 
@@ -12,9 +13,9 @@ import (
 // over, as the sensitivity searches and the simulation-study period
 // inflation do — stops allocating once the buffers have warmed up.
 //
-// A Calc is not safe for concurrent use; DetermineFeasibilityParallel
-// gives every worker its own. The Analyzer methods of the same names
-// are one-shot conveniences that create a throwaway Calc.
+// A Calc is not safe for concurrent use; CalUBatchParallel gives every
+// worker its own. The Analyzer methods of the same names are one-shot
+// conveniences that create a throwaway Calc.
 type Calc struct {
 	a     *Analyzer
 	ar    Arena
@@ -243,28 +244,32 @@ func (c *Calc) search(elems []Element, deadline, latency, maxHorizon int) (int, 
 	return -1, nil
 }
 
-// CalUSearch is CalUSearchCap at the global MaxSearchHorizon.
-func (c *Calc) CalUSearch(id stream.ID) (int, error) {
-	return c.CalUSearchCap(id, MaxSearchHorizon)
-}
-
-// Feasibility runs the paper's Determine-Feasibility over the whole
-// set with this calculator's recycled buffers: U for every stream
-// (highest priority first), feasible iff every U exists and is at most
-// the stream's deadline.
-func (c *Calc) Feasibility() (*Report, error) {
-	set := c.a.Set
-	rep := &Report{Feasible: true, Verdicts: make([]Verdict, set.Len())}
-	for _, s := range set.ByPriorityDesc() {
-		u, err := c.CalU(s.ID)
-		if err != nil {
-			return nil, err
+// CalUBatchParallel computes the delay upper bound of each of ids on
+// the grid.MapWorkers pool (workers <= 0 uses GOMAXPROCS); the returned
+// slice aligns with ids. Every worker holds its own Calc, so the
+// scratch arenas stay goroutine-local. DetermineFeasibility runs it
+// with one worker over every stream; the incremental admission
+// controller (package admit) runs it over the dirty set of a mutation
+// (see Dependents).
+//
+// Any failure yields (nil, error) — a partial batch never escapes — and
+// the error names the failing stream with the smallest position in
+// ids, whatever the worker count.
+func (a *Analyzer) CalUBatchParallel(ids []stream.ID, workers int) ([]int, error) {
+	for _, id := range ids {
+		if a.Set.Get(id) == nil {
+			return nil, fmt.Errorf("core: no stream %d", id)
 		}
-		v := Verdict{ID: s.ID, U: u, Deadline: s.Deadline, Feasible: u >= 0 && u <= s.Deadline}
-		rep.Verdicts[s.ID] = v
-		if !v.Feasible {
-			rep.Feasible = false
-		}
+		// Materialize each batch member's HP set before the fan-out:
+		// lazy fills (Extend-built analyzers) are not synchronized, and
+		// each worker only ever reads the rows of its own ids.
+		a.hp(int(id))
 	}
-	return rep, nil
+	return grid.MapWorkers(len(ids), workers, a.NewCalc, func(c *Calc, k int) (int, error) {
+		u, err := c.CalU(ids[k])
+		if err != nil {
+			return 0, fmt.Errorf("core: calU stream %d: %w", ids[k], err)
+		}
+		return u, nil
+	})
 }

@@ -58,7 +58,7 @@ func TestCalUSearchCapMarginOverflow(t *testing.T) {
 	if u != 30 {
 		t.Fatalf("CalUSearchCap = %d, want 30", u)
 	}
-	want, err := a.CalUHorizon(victim, 1<<12)
+	want, err := a.NewCalc().CalUHorizon(victim, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCalUSearchCapMarginClampNearCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := a.CalUHorizon(victim, 1<<12)
+	want, err := a.NewCalc().CalUHorizon(victim, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestCalcReuseMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantH, err := a.CalUHorizon(s.ID, 500)
+			wantH, err := a.NewCalc().CalUHorizon(s.ID, 500)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -86,7 +86,7 @@ func CheckCalUOracle(t testing.TB, a *Analyzer, br *CalUBranches, label string) 
 			t.Fatalf("%s stream %d (deadline %d, latency %d): CalU = %d, full-horizon oracle = %d",
 				label, s.ID, s.Deadline, s.Latency, got, want)
 		}
-		br.count(a.elements(s.ID), got, s.Deadline)
+		br.count(a.NewCalc().elements(s.ID), got, s.Deadline)
 	}
 }
 

@@ -25,24 +25,6 @@ type InterferenceReport struct {
 	Contributions []Contribution // sorted by decreasing marginal impact
 }
 
-// Slack returns D - U for the given stream, the headroom the verdict
-// leaves; negative values mean the deadline is missed, and the second
-// result is false when no bound exists within the deadline.
-func (a *Analyzer) Slack(id stream.ID) (int, bool, error) {
-	s := a.Set.Get(id)
-	if s == nil {
-		return 0, false, fmt.Errorf("core: no stream %d", id)
-	}
-	u, err := a.CalU(id)
-	if err != nil {
-		return 0, false, err
-	}
-	if u < 0 {
-		return 0, false, nil
-	}
-	return s.Deadline - u, true, nil
-}
-
 // Interference computes the marginal contribution of every HP element
 // of the given stream at the given horizon: for each element, the
 // timing diagram is rebuilt without it and the bound recomputed. The
@@ -57,7 +39,7 @@ func (a *Analyzer) Interference(id stream.ID, horizon int) (*InterferenceReport,
 	if horizon <= 0 {
 		return nil, fmt.Errorf("core: horizon %d must be positive", horizon)
 	}
-	elems := a.elements(id)
+	elems := a.NewCalc().elements(id)
 	full, err := NewDiagram(elems, horizon)
 	if err != nil {
 		return nil, err

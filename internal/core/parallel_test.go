@@ -1,45 +1,89 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/stream"
 )
 
-// TestParallelMatchesSequential: the parallel feasibility test returns
-// exactly the sequential verdicts for random sets and all worker
-// counts.
-func TestParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 10; trial++ {
-		set := randomMeshSet(t, rng, 4+rng.Intn(10))
-		seq, err := DetermineFeasibility(set)
+// batchReport is the feasibility report that CalUBatchParallel over
+// every stream of set, at the given width, yields through NewReport.
+func batchReport(t *testing.T, set *stream.Set, workers int) *Report {
+	t.Helper()
+	a, err := NewAnalyzer(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]stream.ID, set.Len())
+	for i := range ids {
+		ids[i] = stream.ID(i)
+	}
+	u, err := a.CalUBatchParallel(ids, workers)
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return NewReport(set, u)
+}
+
+// checkBatchMatchesSequential pins the batch report at every width
+// against DetermineFeasibility, and DetermineFeasibility against
+// one-shot Cal_U per stream under the paper's verdict rule.
+func checkBatchMatchesSequential(t *testing.T, label string, set *stream.Set) {
+	t.Helper()
+	seq, err := DetermineFeasibility(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAnalyzer(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &Report{Feasible: true}
+	for _, s := range set.Streams {
+		u, err := a.CalU(s.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{0, 1, 2, 7} {
-			par, err := DetermineFeasibilityParallel(set, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Feasible != seq.Feasible {
-				t.Fatalf("trial %d workers %d: feasible %v vs %v", trial, workers, par.Feasible, seq.Feasible)
-			}
-			for i := range seq.Verdicts {
-				if par.Verdicts[i] != seq.Verdicts[i] {
-					t.Fatalf("trial %d workers %d stream %d: %+v vs %+v",
-						trial, workers, i, par.Verdicts[i], seq.Verdicts[i])
-				}
-			}
+		ok := u >= 0 && u <= s.Deadline
+		oracle.Verdicts = append(oracle.Verdicts, Verdict{ID: s.ID, U: u, Deadline: s.Deadline, Feasible: ok})
+		oracle.Feasible = oracle.Feasible && ok
+	}
+	if !reflect.DeepEqual(seq, oracle) {
+		t.Fatalf("%s: DetermineFeasibility %+v, one-shot oracle %+v", label, seq, oracle)
+	}
+	for _, workers := range []int{0, 1, 2, 7, 33} {
+		if par := batchReport(t, set, workers); !reflect.DeepEqual(par, seq) {
+			t.Fatalf("%s workers %d: batch %+v, sequential %+v", label, workers, par, seq)
 		}
 	}
 }
 
-func TestParallelOnWorkedExample(t *testing.T) {
-	set := paperExample(t)
-	rep, err := DetermineFeasibilityParallel(set, 3)
-	if err != nil {
-		t.Fatal(err)
+// TestParallelMatchesSequential: the batch path returns exactly the
+// sequential verdicts for random sets and all worker counts.
+func TestParallelMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 10; trial++ {
+		checkBatchMatchesSequential(t, fmt.Sprintf("trial %d", trial), randomMeshSet(t, rng, 4+rng.Intn(10)))
 	}
+}
+
+// TestParallelHammer drives the batch path at many widths over larger
+// randomized sets. It exists to run under `go test -race` (make
+// test-race): every call exercises the per-worker Calcs, the shared
+// read-only HP sets and the pool's result merge against the race
+// detector. The pool's error paths are hammered in package grid.
+func TestParallelHammer(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for trial := 0; trial < 8; trial++ {
+		checkBatchMatchesSequential(t, fmt.Sprintf("hammer trial %d", trial), randomMeshSet(t, rng, 6+rng.Intn(12)))
+	}
+}
+
+func TestParallelOnWorkedExample(t *testing.T) {
+	rep := batchReport(t, paperExample(t), 3)
 	want := []int{7, 8, 26, 30, 33}
 	for i, v := range rep.Verdicts {
 		if v.U != want[i] {
@@ -51,11 +95,36 @@ func TestParallelOnWorkedExample(t *testing.T) {
 	}
 }
 
+// TestParallelRejectsInvalidSet: an invalid set is refused before any
+// bound is computed.
 func TestParallelRejectsInvalidSet(t *testing.T) {
 	set := paperExample(t)
 	set.Streams[0].Latency = 1
-	if _, err := DetermineFeasibilityParallel(set, 2); err == nil {
+	if _, err := DetermineFeasibility(set); err == nil {
 		t.Fatal("accepted invalid set")
+	}
+}
+
+// TestNewReport pins the verdict rule at its edges: a missing bound and
+// a bound past the deadline are infeasible, a bound at the deadline is
+// feasible, and an empty set is feasible.
+func TestNewReport(t *testing.T) {
+	set := paperExample(t) // deadlines 15, 10, 40, 45, 50
+	rep := NewReport(set, []int{15, 8, -1, 46, 50})
+	want := []bool{true, true, false, false, true}
+	for i, v := range rep.Verdicts {
+		if v.ID != stream.ID(i) || v.Deadline != set.Streams[i].Deadline || v.Feasible != want[i] {
+			t.Fatalf("verdict %d = %+v, want feasible %v", i, v, want[i])
+		}
+	}
+	if rep.Feasible {
+		t.Fatal("report with infeasible verdicts is feasible")
+	}
+	if rep := NewReport(set, []int{7, 8, 26, 30, 33}); !rep.Feasible {
+		t.Fatalf("worked-example bounds infeasible: %+v", rep)
+	}
+	if rep := NewReport(&stream.Set{}, nil); !rep.Feasible || len(rep.Verdicts) != 0 {
+		t.Fatalf("empty set: %+v", rep)
 	}
 }
 

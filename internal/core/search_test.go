@@ -187,7 +187,7 @@ func TestSearchMatchesForwardOracle(t *testing.T) {
 		}
 		calc := a.NewCalc()
 		for _, s := range set.Streams {
-			want, _, err := forwardSearch(a.elements(s.ID), s.Deadline, s.Latency, 1<<16)
+			want, _, err := forwardSearch(a.NewCalc().elements(s.ID), s.Deadline, s.Latency, 1<<16)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,7 +18,8 @@ import (
 
 // feasibilityProbe builds the per-candidate feasibility check the
 // sensitivity searches share: validate the mutated set (same check
-// NewAnalyzer would run), then test feasibility with a reused Calc.
+// NewAnalyzer would run), then test feasibility with a reused Calc,
+// stopping at the first stream that misses its deadline.
 func feasibilityProbe(set *stream.Set) func() (bool, error) {
 	var calc *Calc
 	return func() (bool, error) {
@@ -28,11 +29,16 @@ func feasibilityProbe(set *stream.Set) func() (bool, error) {
 		if calc == nil {
 			calc = (&Analyzer{Set: set, hps: BuildHPSets(set)}).NewCalc()
 		}
-		rep, err := calc.Feasibility()
-		if err != nil {
-			return false, err
+		for _, s := range set.Streams {
+			u, err := calc.CalU(s.ID)
+			if err != nil {
+				return false, err
+			}
+			if !newVerdict(s, u).Feasible {
+				return false, nil
+			}
 		}
-		return rep.Feasible, nil
+		return true, nil
 	}
 }
 

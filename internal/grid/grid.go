@@ -8,14 +8,17 @@
 // axis values, visited in a fixed lexicographic order, with any
 // randomness derived from a per-point seed rather than from visit
 // order — so the two cannot drift: a grid's point order, and therefore
-// every merged result, is a pure function of the axes. Map is the one
-// ordered worker pool every parallel study runs its points through.
+// every merged result, is a pure function of the axes. MapWorkers (and
+// Map, its stateless form) is the one ordered worker pool: every
+// parallel study runs its points through it, and so do core's Cal_U
+// batches.
 package grid
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Axis is one dimension of a sweep grid: a name (for diagnostics) and
@@ -175,12 +178,27 @@ func NonNegativeInts(name string, vals []int) error {
 }
 
 // Map calls f(i) for every i in [0, n) on a pool of workers and returns
-// the results in index order. workers <= 0 means GOMAXPROCS. When calls
-// fail, the error of the smallest failing index is returned, so the
-// outcome is identical for every worker count and schedule. Workers
-// only send on a channel; the merge loop is the single owner of the
-// result slice.
+// the results in index order; it is MapWorkers without per-worker
+// state.
 func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
+	return MapWorkers(n, workers, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (T, error) { return f(i) })
+}
+
+// MapWorkers calls f(w, i) for every i in [0, n) on a pool of workers
+// and returns the results in index order. workers <= 0 means
+// GOMAXPROCS. newWorker runs once per worker, on the goroutine that
+// then owns its value w, so per-worker scratch state (a Cal_U
+// calculator and its arena) needs no synchronization. With one worker
+// or one point everything runs on the calling goroutine.
+//
+// When calls fail, the error of the smallest failing index is
+// returned, so the outcome is identical for every worker count and
+// schedule. Once index k has failed, indexes above k are skipped —
+// their results would be discarded — but no index below the smallest
+// failure ever is. Workers only send on a channel; the merge loop is
+// the single owner of the result slice.
+func MapWorkers[S, T any](n, workers int, newWorker func() S, f func(w S, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("grid: negative point count %d", n)
 	}
@@ -188,6 +206,21 @@ func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
+	vals := make([]T, n)
+	if workers <= 1 {
+		if n == 0 {
+			return vals, nil
+		}
+		w := newWorker()
+		for i := range vals {
+			v, err := f(w, i)
+			if err != nil {
+				return nil, err
+			}
+			vals[i] = v
+		}
+		return vals, nil
+	}
 	type result struct {
 		i   int
 		v   T
@@ -197,13 +230,26 @@ func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
 	// worker ever blocks.
 	jobs := make(chan int, n)
 	out := make(chan result, n)
+	// failedAt is the smallest index known to have failed (n: none).
+	var failedAt atomic.Int64
+	failedAt.Store(int64(n))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := newWorker()
 			for i := range jobs {
-				v, err := f(i)
+				if int64(i) > failedAt.Load() {
+					continue
+				}
+				v, err := f(w, i)
+				for err != nil {
+					cur := failedAt.Load()
+					if int64(i) >= cur || failedAt.CompareAndSwap(cur, int64(i)) {
+						break
+					}
+				}
 				out <- result{i, v, err}
 			}
 		}()
@@ -214,7 +260,6 @@ func Map[T any](n, workers int, f func(i int) (T, error)) ([]T, error) {
 	close(jobs)
 	wg.Wait()
 	close(out)
-	vals := make([]T, n)
 	failed := -1
 	var firstErr error
 	for r := range out {

@@ -2,7 +2,10 @@ package grid
 
 import (
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestEnumerationOrderMatchesNestedLoops(t *testing.T) {
@@ -160,5 +163,150 @@ func TestMapOrderAndFirstError(t *testing.T) {
 	}
 	if _, err := Map(-1, 4, func(int) (int, error) { return 0, nil }); err == nil {
 		t.Fatal("accepted n = -1")
+	}
+}
+
+// TestMapWorkersSmallestFailingIndex: a failure yields (nil, error),
+// never a partial result, and the error is the smallest failing
+// index's at every width, whatever the schedule.
+func TestMapWorkersSmallestFailingIndex(t *testing.T) {
+	const n = 40
+	for _, workers := range []int{0, 1, 2, 3, 16} {
+		for rep := 0; rep < 20; rep++ {
+			got, err := MapWorkers(n, workers, func() int { return 0 }, func(_ int, i int) (int, error) {
+				if i == 7 || i == 9 || i == 30 {
+					return 0, fmt.Errorf("fail %d", i)
+				}
+				return i, nil
+			})
+			if err == nil || err.Error() != "fail 7" || got != nil {
+				t.Fatalf("workers=%d: got (%v, %v), want (nil, fail 7)", workers, got, err)
+			}
+		}
+	}
+}
+
+// TestMapWorkersAllFailing: every index failing still returns cleanly
+// (no worker blocks on a send) and reports index 0.
+func TestMapWorkersAllFailing(t *testing.T) {
+	for _, workers := range []int{1, 2, 5, 32} {
+		_, err := MapWorkers(12, workers, func() int { return 0 }, func(_ int, i int) (int, error) {
+			return 0, fmt.Errorf("fail %d", i)
+		})
+		if err == nil || err.Error() != "fail 0" {
+			t.Fatalf("workers=%d: error %v, want fail 0", workers, err)
+		}
+	}
+}
+
+// TestMapWorkersSkipsAfterFailure: once an index has failed the pool
+// stops computing results it would discard. With one worker the calls
+// run in index order on the calling goroutine, so a failure at index 1
+// means exactly two calls.
+func TestMapWorkersSkipsAfterFailure(t *testing.T) {
+	calls := 0
+	_, err := MapWorkers(10, 1, func() int { return 0 }, func(_ int, i int) (int, error) {
+		calls++
+		if i == 1 {
+			return 0, fmt.Errorf("fail %d", i)
+		}
+		return i, nil
+	})
+	if err == nil {
+		t.Fatal("error swallowed")
+	}
+	if calls != 2 {
+		t.Fatalf("f called %d times with 1 worker, want 2 (index 0 and the failure)", calls)
+	}
+}
+
+// TestMapWorkersSkipsAfterFailureInParallel: with several workers the
+// pool also stops computing once an index has failed. Index 0 fails at
+// once while every other call takes a while, so a pool that skipped
+// nothing would make all n calls.
+func TestMapWorkersSkipsAfterFailureInParallel(t *testing.T) {
+	const n = 4000
+	for _, workers := range []int{2, 4} {
+		var calls atomic.Int32
+		_, err := MapWorkers(n, workers, func() int { return 0 }, func(_ int, i int) (int, error) {
+			calls.Add(1)
+			if i == 0 {
+				return 0, fmt.Errorf("fail %d", i)
+			}
+			time.Sleep(50 * time.Microsecond)
+			return i, nil
+		})
+		if err == nil || err.Error() != "fail 0" {
+			t.Fatalf("workers=%d: error %v, want fail 0", workers, err)
+		}
+		if got := calls.Load(); got > n/2 {
+			t.Fatalf("workers=%d: %d calls after an immediate failure at index 0", workers, got)
+		}
+	}
+}
+
+// TestMapWorkersNeverSkipsBelowFailure: every index up to the smallest
+// failure runs at every width; only indexes above a failure may be
+// skipped.
+func TestMapWorkersNeverSkipsBelowFailure(t *testing.T) {
+	const n, fail = 64, 37
+	for _, workers := range []int{2, 3, 8, 16} {
+		for rep := 0; rep < 20; rep++ {
+			var ran [n]atomic.Bool
+			_, err := MapWorkers(n, workers, func() int { return 0 }, func(_ int, i int) (int, error) {
+				ran[i].Store(true)
+				if i >= fail && i%2 == 1 {
+					return 0, fmt.Errorf("fail %d", i)
+				}
+				return i, nil
+			})
+			if err == nil || err.Error() != fmt.Sprintf("fail %d", fail) {
+				t.Fatalf("workers=%d: error %v, want fail %d", workers, err, fail)
+			}
+			for i := 0; i <= fail; i++ {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d: index %d below or at the smallest failure was skipped", workers, i)
+				}
+			}
+		}
+	}
+}
+
+// TestMapWorkersPerWorkerState hammers the per-worker values under
+// `go test -race`: newWorker runs at most min(workers, n) times, and
+// each value is used by one goroutine only — every worker owns a
+// scratch slice it writes without locking, and the results (which
+// record which worker computed them) come back in index order.
+func TestMapWorkersPerWorkerState(t *testing.T) {
+	type worker struct {
+		id      int
+		scratch []int
+	}
+	for _, n := range []int{0, 1, 5, 200} {
+		for _, workers := range []int{0, 1, 2, 7, 33} {
+			var made atomic.Int32
+			got, err := MapWorkers(n, workers, func() *worker {
+				return &worker{id: int(made.Add(1))}
+			}, func(w *worker, i int) ([2]int, error) {
+				w.scratch = append(w.scratch[:0], i, i*i)
+				return [2]int{w.scratch[1], w.id}, nil
+			})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			limit := workers
+			if limit <= 0 {
+				limit = runtime.GOMAXPROCS(0)
+			}
+			limit = min(limit, n)
+			if int(made.Load()) > limit {
+				t.Fatalf("n=%d workers=%d: newWorker ran %d times, want at most %d", n, workers, made.Load(), limit)
+			}
+			for i, r := range got {
+				if r[0] != i*i || r[1] < 1 || r[1] > int(made.Load()) {
+					t.Fatalf("n=%d workers=%d: result %d = %v", n, workers, i, r)
+				}
+			}
+		}
 	}
 }

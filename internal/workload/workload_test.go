@@ -151,7 +151,7 @@ func TestHighestPriorityUnblockedAcrossSeeds(t *testing.T) {
 	if len(tops) != 1 {
 		t.Skip("top level not unique for this seed")
 	}
-	u, err := a.CalUSearch(tops[0].ID)
+	u, err := a.CalUSearchCap(tops[0].ID, core.MaxSearchHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
