@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/admit"
 	"repro/internal/core"
-	"repro/internal/eventsim"
 	"repro/internal/exp"
 	"repro/internal/explore"
 	"repro/internal/lint"
@@ -585,45 +584,44 @@ func BenchmarkInflatePeriods(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulator measures raw simulation throughput: cycles per
-// second on the paper's Table 3 workload.
-func BenchmarkSimulator(b *testing.B) {
-	set, _, err := workload.Generate(workload.PaperDefaults(20, 4, 555))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cycles = 30000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := sim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.Run()
-	}
-	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-}
+// BenchmarkSimulator measures raw simulation throughput of the
+// cycle-accurate engine: cycles per second over the paper's horizon on
+// two §5 shapes — the 20-stream Table 3 pool and the dense 60-stream,
+// 11-level set on which the event engine falls back to the cycle
+// kernel most.
+func BenchmarkSimulator(b *testing.B) { benchEngine(b, mc.EngineCycle) }
 
 // BenchmarkEventSim is BenchmarkSimulator on the event-driven engine:
-// same workload, same horizon, same metric, so the cycles/s ratio
-// between the two entries in BENCH_core.json is the engine speedup.
-// The differential battery in internal/eventsim pins the two engines'
-// results byte-identical on this exact workload.
-func BenchmarkEventSim(b *testing.B) {
-	set, _, err := workload.Generate(workload.PaperDefaults(20, 4, 555))
-	if err != nil {
-		b.Fatal(err)
-	}
-	const cycles = 30000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := eventsim.New(set, sim.Config{Cycles: cycles, Warmup: 200})
+// same workloads, same horizon, same metric, so the cycles/s ratio
+// between matching entries in BENCH_core.json is the engine speedup.
+// The differential battery pins the two engines' results
+// byte-identical on both workloads.
+func BenchmarkEventSim(b *testing.B) { benchEngine(b, mc.EngineEvent) }
+
+func benchEngine(b *testing.B, engine string) {
+	for _, w := range []struct {
+		name            string
+		streams, levels int
+		seed            int64
+	}{
+		{"pool20", 20, 4, 555},
+		{"dense60", 60, 11, 15880},
+	} {
+		set, _, err := workload.Generate(workload.PaperDefaults(w.streams, w.levels, w.seed))
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Run()
+		b.Run(w.name, func(b *testing.B) {
+			const cycles = 30000
+			cfg := sim.Config{Cycles: cycles, Warmup: 200}
+			for i := 0; i < b.N; i++ {
+				if _, err := mc.RunEngine(engine, set, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+		})
 	}
-	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // BenchmarkMCReplications measures Monte-Carlo study throughput: 8
