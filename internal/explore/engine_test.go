@@ -34,7 +34,7 @@ func validateWorkload(t *testing.T) Workload {
 
 // TestSweepEngineEquivalence validates the smoke grid under both
 // engines and requires identical point results — the explorer-facing
-// face of the eventsim differential guarantee.
+// face of the sim differential guarantee.
 func TestSweepEngineEquivalence(t *testing.T) {
 	w := validateWorkload(t)
 	var runs [][]byte

@@ -26,8 +26,8 @@ type EvalConfig struct {
 	ValidateCycles int
 	// Engine selects the validation simulator: "" or mc.EngineCycle
 	// for the cycle-accurate oracle, mc.EngineEvent for the fast
-	// event-driven engine (byte-identical stats, pinned by the
-	// eventsim differential battery).
+	// event-driven engine (byte-identical stats, pinned by package
+	// sim's differential battery).
 	Engine string
 }
 

@@ -13,7 +13,6 @@ package mc
 import (
 	"fmt"
 
-	"repro/internal/eventsim"
 	"repro/internal/grid"
 	"repro/internal/hist"
 	"repro/internal/sim"
@@ -30,7 +29,7 @@ const (
 
 // RunEngine runs one simulation under the named engine. The empty name
 // means the cycle-accurate oracle; "event" selects the event-driven
-// fast engine, which is pinned byte-identical by the eventsim
+// fast engine, which is pinned byte-identical by package sim's
 // differential battery.
 func RunEngine(engine string, set *stream.Set, cfg sim.Config) (*sim.Result, error) {
 	switch engine {
@@ -41,7 +40,7 @@ func RunEngine(engine string, set *stream.Set, cfg sim.Config) (*sim.Result, err
 		}
 		return s.Run(), nil
 	case EngineEvent:
-		s, err := eventsim.New(set, cfg)
+		s, err := sim.NewEvent(set, cfg)
 		if err != nil {
 			return nil, err
 		}

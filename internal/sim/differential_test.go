@@ -1,11 +1,10 @@
-package eventsim_test
+package sim_test
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
-	"repro/internal/eventsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stream"
@@ -23,9 +22,9 @@ func runBoth(t *testing.T, set *stream.Set, cfg sim.Config, label string) {
 	if err != nil {
 		t.Fatalf("%s: sim.New: %v", label, err)
 	}
-	e, err := eventsim.New(set, cfg)
+	e, err := sim.NewEvent(set, cfg)
 	if err != nil {
-		t.Fatalf("%s: eventsim.New: %v", label, err)
+		t.Fatalf("%s: sim.NewEvent: %v", label, err)
 	}
 	want := o.Run()
 	got := e.Run()
@@ -46,13 +45,20 @@ func runBoth(t *testing.T, set *stream.Set, cfg sim.Config, label string) {
 		label, want.Unfinished, want.FirstDeadlockCycle, got.Unfinished, got.FirstDeadlockCycle)
 }
 
-// TestDifferentialBattery pins the event engine against the cycle
-// oracle over generated §5-style workloads: five topologies, three
-// generator seeds each, every arbiter, both interesting buffer depths,
-// and one extra knob at a time (strict arbitration, deadline drops,
-// sporadic jitter, release offsets, deadlock detection) — 720 full
-// simulations compared stat for stat.
-func TestDifferentialBattery(t *testing.T) {
+// engineRun is one simulation configuration the engine tests pin.
+type engineRun struct {
+	label string
+	set   *stream.Set
+	cfg   sim.Config
+}
+
+// batteryRuns enumerates generated §5-style workloads: five
+// topologies, three generator seeds each, every arbiter, both
+// interesting buffer depths, and one extra knob at a time (strict
+// arbitration, deadline drops, sporadic jitter, release offsets,
+// deadlock detection) — 720 configurations.
+func batteryRuns(t *testing.T) []engineRun {
+	t.Helper()
 	topos := []struct {
 		name    string
 		streams int
@@ -66,7 +72,7 @@ func TestDifferentialBattery(t *testing.T) {
 	}
 	arbs := []sim.ArbiterKind{sim.Preemptive, sim.NonPreemptiveFIFO, sim.NonPreemptivePriority, sim.Li}
 	extras := []string{"plain", "strict", "droplate", "jitter", "offsets", "deadlock"}
-	total := 0
+	var runs []engineRun
 	for _, tp := range topos {
 		topo, err := topology.Parse(tp.name)
 		if err != nil {
@@ -99,13 +105,75 @@ func TestDifferentialBattery(t *testing.T) {
 						case "deadlock":
 							cfg.DeadlockThreshold = 40
 						}
-						runBoth(t, set, cfg,
-							fmt.Sprintf("%s/seed%d/%v/d%d/%s", tp.name, seed, arb, depth, extra))
-						total++
+						runs = append(runs, engineRun{
+							label: fmt.Sprintf("%s/seed%d/%v/d%d/%s", tp.name, seed, arb, depth, extra),
+							set:   set,
+							cfg:   cfg,
+						})
 					}
 				}
 			}
 		}
+	}
+	return runs
+}
+
+// paperSeedRuns are dense §5 workloads at the paper's horizon that the
+// short-horizon battery never reaches: 30000 flit times of the
+// preemptive arbiter on 20- and 60-stream sets, where long contended
+// stretches interleave with closed-form flight many times.
+func paperSeedRuns(t *testing.T) []engineRun {
+	t.Helper()
+	var runs []engineRun
+	for _, w := range []struct {
+		streams, levels int
+		seed            int64
+	}{
+		{20, 4, 8922},
+		{20, 3, 42},
+		{60, 11, 15880},
+		{20, 4, 209465},
+		{20, 4, 314194},
+	} {
+		set, _, err := workload.Generate(workload.PaperDefaults(w.streams, w.levels, w.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, engineRun{
+			label: fmt.Sprintf("paper/%d-%d-seed%d", w.streams, w.levels, w.seed),
+			set:   set,
+			cfg:   sim.Config{Cycles: 30000, Warmup: 200, Arbiter: sim.Preemptive},
+		})
+	}
+	return runs
+}
+
+// routerLatencySet is four crossing streams on a 4x4 mesh whose
+// routers add rl pipeline cycles per hop.
+func routerLatencySet(t *testing.T, rl int) *stream.Set {
+	t.Helper()
+	m := topology.NewMesh2D(4, 4)
+	r := routing.NewXY(m)
+	set := stream.NewSetWithRouterLatency(m, rl)
+	for _, sp := range [][6]int{
+		{0, 15, 3, 40, 6, 120},
+		{3, 12, 2, 35, 4, 110},
+		{5, 6, 1, 25, 8, 90},
+		{4, 7, 2, 50, 3, 100},
+	} {
+		mustAdd(t, set, r, sp)
+	}
+	return set
+}
+
+// TestDifferentialBattery pins the event engine against the cycle
+// oracle over the battery's 720 generated configurations, compared
+// stat for stat.
+func TestDifferentialBattery(t *testing.T) {
+	total := 0
+	for _, run := range batteryRuns(t) {
+		runBoth(t, run.set, run.cfg, run.label)
+		total++
 	}
 	if total < 500 {
 		t.Fatalf("battery ran %d configs, want >= 500", total)
@@ -189,18 +257,8 @@ func TestDifferentialStress(t *testing.T) {
 // engine must fall back to pure (component-decomposed, idle-skipping)
 // cycle stepping and still match exactly.
 func TestDifferentialRouterLatency(t *testing.T) {
-	m := topology.NewMesh2D(4, 4)
-	r := routing.NewXY(m)
 	for rl := 1; rl <= 2; rl++ {
-		set := stream.NewSetWithRouterLatency(m, rl)
-		for _, sp := range [][6]int{
-			{0, 15, 3, 40, 6, 120},
-			{3, 12, 2, 35, 4, 110},
-			{5, 6, 1, 25, 8, 90},
-			{4, 7, 2, 50, 3, 100},
-		} {
-			mustAdd(t, set, r, sp)
-		}
+		set := routerLatencySet(t, rl)
 		for _, arb := range []sim.ArbiterKind{sim.Preemptive, sim.Li} {
 			for _, depth := range []int{1, 2} {
 				for _, drop := range []bool{false, true} {
@@ -230,29 +288,13 @@ func TestDifferentialLongHorizon(t *testing.T) {
 	}
 }
 
-// TestDifferentialPaperSeeds runs §5 workloads at the paper's horizon
-// that the short-horizon battery never reaches: 30000 flit times of the
-// preemptive arbiter on dense 20- and 60-stream sets, where long
-// contended stretches interleave with closed-form flight many times.
+// TestDifferentialPaperSeeds runs the dense §5 paper-seed workloads
+// (paperSeedRuns) on both engines.
 func TestDifferentialPaperSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long horizon differential skipped in -short")
 	}
-	for _, w := range []struct {
-		streams, levels int
-		seed            int64
-	}{
-		{20, 4, 8922},
-		{20, 3, 42},
-		{60, 11, 15880},
-		{20, 4, 209465},
-		{20, 4, 314194},
-	} {
-		set, _, err := workload.Generate(workload.PaperDefaults(w.streams, w.levels, w.seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := sim.Config{Cycles: 30000, Warmup: 200, Arbiter: sim.Preemptive}
-		runBoth(t, set, cfg, fmt.Sprintf("paper/%d-%d-seed%d", w.streams, w.levels, w.seed))
+	for _, run := range paperSeedRuns(t) {
+		runBoth(t, run.set, run.cfg, run.label)
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"sort"
 
 	"repro/internal/stream"
@@ -11,42 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Simulator runs one wormhole network simulation for a stream set.
-type Simulator struct {
-	set *stream.Set
-	cfg Config
-
-	links     map[topology.Channel]*link
-	linkOrder []*link
-	pathLinks [][]*link   // per stream: the link at each hop of its path
-	pathOrds  [][]int32   // per stream: the ordinal of each path link
-	prioIdx   map[int]int // priority value -> VC level index (0 = lowest)
-	levels    int
-
-	// Per-link-ordinal arbitration state for the current cycle: bit
-	// ord of candMask marks that candBest[ord] was folded this cycle
-	// (collectCandidates); moveFlits consumes the mask word by word,
-	// visiting winners in ascending ordinal order, and clears it for
-	// the next cycle. The word sweep touches a handful of cache lines
-	// regardless of how many links the network has.
-	candMask []uint64
-	candBest []candidate
-
-	active  []*message
-	retired []*message // delivered/dropped this cycle, pooled at cycle end
-	free    []*message // recycled message instances
-	waiting []*link    // links with headers pending a VC (see link.queued)
-	nextRel []int      // per stream: next release time
-	nextSeq []int
-	stamp   int64
-	now     int
-	rl      int // per-hop router pipeline depth (set.RouterLatency)
-	jitter  *rand.Rand
-	stats   *Result
+// setup is what both engines derive from a stream set and
+// configuration before building kernels: the defaulted configuration,
+// the shared result, the release plan and the priority-level index.
+type setup struct {
+	set     *stream.Set
+	cfg     Config
+	res     *Result
+	sched   *schedule
+	prioIdx map[int]int // priority value -> VC level index (0 = lowest)
 }
 
-// New builds a simulator for the given validated stream set.
-func New(set *stream.Set, cfg Config) (*Simulator, error) {
+func newSetup(set *stream.Set, cfg Config) (*setup, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,31 +32,84 @@ func New(set *stream.Set, cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		set:     set,
-		cfg:     c,
-		links:   make(map[topology.Channel]*link),
-		prioIdx: make(map[int]int),
-		nextRel: make([]int, set.Len()),
-		nextSeq: make([]int, set.Len()),
-		rl:      set.RouterLatency,
-		jitter:  rand.New(rand.NewSource(c.JitterSeed)),
-		stats:   newResult(set, c),
-	}
+	su := &setup{set: set, cfg: c, res: newResult(set, c), sched: newSchedule(set, c), prioIdx: make(map[int]int)}
 	// Priority levels, ascending: index 0 is the lowest priority.
 	levels := set.PriorityLevels() // descending
 	for i, p := range levels {
-		s.prioIdx[p] = len(levels) - 1 - i
+		su.prioIdx[p] = len(levels) - 1 - i
 	}
-	s.levels = len(levels)
-	vcsPerLink := s.levels
-	if c.Arbiter == NonPreemptiveFIFO || c.Arbiter == NonPreemptivePriority {
+	return su, nil
+}
+
+// kernel is the exact cycle-by-cycle wormhole model over a subset of
+// the streams (ascending stream ID) and the links their paths use. It
+// has its own clock: step executes one cycle at now and advances it.
+// The cycle engine runs one kernel over every stream; the event engine
+// runs one per conflict component, stepping it through contended
+// windows only. Results land in the shared Result, indexed by global
+// stream ID, so kernels over disjoint stream sets never collide.
+type kernel struct {
+	cfg   Config
+	res   *Result
+	sched *schedule
+
+	streams   []*stream.Stream // ascending stream ID
+	links     []*link          // (From, To) scan order
+	pathLinks [][]*link        // per local stream: the link at each hop of its path
+	pathOrds  [][]int32        // per local stream: the ordinal of each path link
+	prio      []int            // per local stream: priority level index
+	rl        int              // per-hop router pipeline depth (set.RouterLatency)
+	depth     int              // per-VC buffer depth
+	strict    bool             // strict physical priority applies to this arbiter
+
+	// Per-link-ordinal arbitration state for the current cycle: bit
+	// ord of candMask marks that candBest[ord] was folded this cycle
+	// (collectCandidates); moveFlits consumes the mask word by word,
+	// visiting winners in ascending ordinal order, and clears it for
+	// the next cycle. The word sweep touches a handful of cache lines
+	// regardless of how many links the network has.
+	candMask []uint64
+	candBest []candidate
+
+	// Release cursors per local stream (see schedule).
+	nextRel []int
+	relIdx  []int
+	nextSeq []int
+
+	active  []*message
+	retired []*message // delivered/dropped this cycle, pooled at cycle end
+	free    []*message // recycled message instances
+	waiting []*link    // links with headers pending a VC (see link.queued)
+	stamp   int64
+	now     int
+	// nextTry is the earliest cycle at which the event engine retries
+	// leaving the kernel; accountStalls resets it when a message stops
+	// advancing. The cycle engine never reads it.
+	nextTry int
+}
+
+// newKernel builds the kernel for the streams ids (ascending global
+// indices) of the set.
+func (su *setup) newKernel(ids []int) kernel {
+	c := su.cfg
+	k := kernel{cfg: c, res: su.res, sched: su.sched, rl: su.set.RouterLatency, depth: c.BufferDepth}
+	single := c.Arbiter == NonPreemptiveFIFO || c.Arbiter == NonPreemptivePriority
+	k.strict = c.StrictPhysicalPriority && !single
+	vcsPerLink := len(su.prioIdx)
+	if single {
 		vcsPerLink = 1
 	}
-	// Only channels actually used by some path need router state.
+	n := len(ids)
+	k.streams = make([]*stream.Stream, n)
+	for li, gi := range ids {
+		k.streams[li] = su.set.Get(stream.ID(gi))
+	}
+	// Only channels actually used by some path need router state. The
+	// (From, To) order is the order flit movement visits winners in,
+	// and any stream subset keeps it.
 	seen := make(map[topology.Channel]bool)
 	var chans []topology.Channel
-	for _, st := range set.Streams {
+	for _, st := range k.streams {
 		for _, ch := range st.Path.Channels {
 			if !seen[ch] {
 				seen[ch] = true
@@ -98,91 +126,134 @@ func New(set *stream.Set, cfg Config) (*Simulator, error) {
 	// One contiguous allocation in scan order: the cycle loop walks
 	// the links linearly, so adjacency matters.
 	arr := make([]link, len(chans))
-	for i, ch := range chans {
-		arr[i] = link{ch: ch, vcs: make([]vc, vcsPerLink)}
-		s.links[ch] = &arr[i]
-		s.linkOrder = append(s.linkOrder, &arr[i])
-	}
-	s.candMask = make([]uint64, (len(chans)+63)/64)
-	s.candBest = make([]candidate, len(chans))
-	// Hot paths index links by stream and hop instead of hashing
-	// 16-byte Channel keys every cycle.
-	s.pathLinks = make([][]*link, set.Len())
-	s.pathOrds = make([][]int32, set.Len())
 	ordOf := make(map[topology.Channel]int32, len(chans))
 	for i, ch := range chans {
+		arr[i] = link{ch: ch, vcs: make([]vc, vcsPerLink)}
+		k.links = append(k.links, &arr[i])
 		ordOf[ch] = int32(i)
 	}
-	for _, st := range set.Streams {
+	k.candMask = make([]uint64, (len(chans)+63)/64)
+	k.candBest = make([]candidate, len(chans))
+	// Hot paths index links by stream and hop instead of hashing
+	// 16-byte Channel keys every cycle.
+	k.pathLinks = make([][]*link, n)
+	k.pathOrds = make([][]int32, n)
+	k.prio = make([]int, n)
+	k.nextRel = make([]int, n)
+	k.relIdx = make([]int, n)
+	k.nextSeq = make([]int, n)
+	for li, st := range k.streams {
 		hop := make([]*link, len(st.Path.Channels))
 		ords := make([]int32, len(st.Path.Channels))
 		for i, ch := range st.Path.Channels {
-			hop[i] = s.links[ch]
 			ords[i] = ordOf[ch]
+			hop[i] = k.links[ords[i]]
 		}
-		s.pathLinks[st.ID] = hop
-		s.pathOrds[st.ID] = ords
+		k.pathLinks[li] = hop
+		k.pathOrds[li] = ords
+		k.prio[li] = su.prioIdx[st.Priority]
+		k.nextRel[li], k.relIdx[li] = k.sched.start(int(st.ID))
 	}
-	if c.Offsets != nil {
-		copy(s.nextRel, c.Offsets)
+	return k
+}
+
+// Simulator runs one wormhole network simulation for a stream set:
+// one kernel over every stream, stepped cycle by cycle. It is the
+// oracle the event engine is pinned against, and the only engine that
+// supports Config.Tracer.
+type Simulator struct {
+	k kernel
+}
+
+// New builds a simulator for the given validated stream set.
+func New(set *stream.Set, cfg Config) (*Simulator, error) {
+	su, err := newSetup(set, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	ids := make([]int, set.Len())
+	for i := range ids {
+		ids[i] = i
+	}
+	return &Simulator{k: su.newKernel(ids)}, nil
 }
 
 // Run simulates the configured number of cycles and returns the
 // collected statistics.
 func (s *Simulator) Run() *Result {
-	for s.now = 0; s.now < s.cfg.Cycles; s.now++ {
-		s.release()
-		if s.cfg.DropLate {
-			s.dropLate()
-		}
-		if s.rl > 0 {
-			s.promote()
-		}
-		s.assignVCs()
-		s.collectCandidates()
-		s.moveFlits()
-		s.accountStalls()
-		// A link's best-candidate slot may still point at a message
-		// retired this cycle, but moveFlits has already consumed and
-		// cleared its mask bit, so the slot is never dereferenced
-		// again and the instances are safe to reissue from the next
-		// cycle on.
-		s.free = append(s.free, s.retired...)
-		s.retired = s.retired[:0]
+	k := &s.k
+	for k.now < k.cfg.Cycles {
+		k.step()
 	}
-	s.stats.Unfinished = len(s.active)
-	for _, m := range s.active {
-		s.stats.PerStream[m.s.ID].Unfinished++
+	k.finish()
+	return k.res
+}
+
+// Now returns the current simulation time (useful to instrument partial
+// runs in tests).
+func (s *Simulator) Now() int { return s.k.now }
+
+// step executes one exact simulation cycle and advances the clock. It
+// reports whether any message retired (delivered or dropped).
+func (k *kernel) step() bool {
+	k.release()
+	if k.cfg.DropLate {
+		k.dropLate()
 	}
-	// Flush the per-link activity counters; only channels that carried
-	// a flit appear in the map, as when it was updated per crossing.
-	for _, l := range s.linkOrder {
+	if k.rl > 0 {
+		k.promote()
+	}
+	k.assignVCs()
+	k.collectCandidates()
+	k.moveFlits()
+	k.accountStalls()
+	// A link's best-candidate slot may still point at a message
+	// retired this cycle, but moveFlits has already consumed and
+	// cleared its mask bit, so the slot is never dereferenced again
+	// and the instances are safe to reissue from the next cycle on.
+	retired := len(k.retired) > 0
+	k.free = append(k.free, k.retired...)
+	k.retired = k.retired[:0]
+	k.now++
+	return retired
+}
+
+// finish settles the end-of-run accounting of the kernel's messages
+// and flushes the per-link activity counters; only channels that
+// carried a flit appear in the map, as when it was updated per
+// crossing.
+func (k *kernel) finish() {
+	k.res.Unfinished += len(k.active)
+	for _, m := range k.active {
+		k.res.PerStream[m.s.ID].Unfinished++
+	}
+	for _, l := range k.links {
 		if l.flits > 0 {
-			s.stats.PerChannel[l.ch] = ChannelStats{BusyCycles: l.busy, Flits: l.flits}
+			k.res.PerChannel[l.ch] = ChannelStats{BusyCycles: l.flits, Flits: l.flits}
 		}
 	}
-	return s.stats
+}
+
+// nextRelease consumes local stream li's due release and moves its
+// cursor to the next one in the plan.
+func (k *kernel) nextRelease(li int) {
+	k.nextSeq[li]++
+	k.nextRel[li], k.relIdx[li] = k.sched.advance(int(k.streams[li].ID), k.nextRel[li], k.relIdx[li])
 }
 
 // release activates every message whose release time is the current
 // cycle and enqueues its header at the first channel of its path.
-func (s *Simulator) release() {
-	for i, st := range s.set.Streams {
-		for s.nextRel[i] <= s.now {
-			m := s.newMessage(st, s.nextSeq[i], s.nextRel[i])
-			s.stamp++
-			m.arrival = s.stamp
-			s.nextSeq[i]++
-			s.nextRel[i] += st.Period
-			if s.cfg.SporadicJitter > 0 {
-				s.nextRel[i] += s.jitter.Intn(s.cfg.SporadicJitter + 1)
-			}
-			s.active = append(s.active, m)
-			s.stats.PerStream[st.ID].Generated++
-			s.addPending(m.links[0], m)
-			s.trace(trace.Event{Cycle: s.now, Kind: trace.Release, Stream: st.ID, Seq: m.seq})
+func (k *kernel) release() {
+	for li, st := range k.streams {
+		for k.nextRel[li] <= k.now {
+			m := k.newMessage(li, k.nextSeq[li], k.nextRel[li])
+			k.stamp++
+			m.arrival = k.stamp
+			k.nextRelease(li)
+			k.active = append(k.active, m)
+			k.res.PerStream[st.ID].Generated++
+			k.addPending(m.links[0], m)
+			k.trace(trace.Event{Cycle: k.now, Kind: trace.Release, Stream: st.ID, Seq: m.seq})
 		}
 	}
 }
@@ -190,16 +261,17 @@ func (s *Simulator) release() {
 // newMessage issues a message instance, recycling a retired one when
 // available. The per-hop counters share one backing array; both it and
 // the message struct survive recycling.
-func (s *Simulator) newMessage(st *stream.Stream, seq, genTime int) *message {
+func (k *kernel) newMessage(li, seq, genTime int) *message {
+	st := k.streams[li]
 	hops := st.Path.Hops()
 	n := 2 * hops
-	if s.rl > 0 {
+	if k.rl > 0 {
 		n = 3 * hops
 	}
 	var m *message
-	if k := len(s.free); k > 0 {
-		m = s.free[k-1]
-		s.free = s.free[:k-1]
+	if n := len(k.free); n > 0 {
+		m = k.free[n-1]
+		k.free = k.free[:n-1]
 	} else {
 		m = &message{}
 	}
@@ -213,16 +285,17 @@ func (s *Simulator) newMessage(st *stream.Stream, seq, genTime int) *message {
 	inflight := m.inflight
 	*m = message{
 		s:       st,
-		links:   s.pathLinks[st.ID],
-		ords:    s.pathOrds[st.ID],
+		li:      li,
+		links:   k.pathLinks[li],
+		ords:    k.pathOrds[li],
 		buf:     buf,
 		seq:     seq,
 		genTime: genTime,
 		crossed: buf[0:hops:hops],
 		vcHeld:  buf[hops : 2*hops : 2*hops],
-		prio:    s.prioIdx[st.Priority],
+		prio:    k.prio[li],
 	}
-	if s.rl > 0 {
+	if k.rl > 0 {
 		m.visible = buf[2*hops : 3*hops : 3*hops]
 		if cap(inflight) < hops {
 			inflight = make([][]int, hops)
@@ -242,11 +315,11 @@ func (s *Simulator) newMessage(st *stream.Stream, seq, genTime int) *message {
 
 // addPending enqueues a header waiting for a VC on l and registers l
 // in the waiting list assignVCs works from.
-func (s *Simulator) addPending(l *link, m *message) {
+func (k *kernel) addPending(l *link, m *message) {
 	l.pending = append(l.pending, m)
 	if !l.queued {
 		l.queued = true
-		s.waiting = append(s.waiting, l)
+		k.waiting = append(k.waiting, l)
 	}
 }
 
@@ -256,24 +329,24 @@ func (s *Simulator) addPending(l *link, m *message) {
 // list here. Per-link assignment is independent of the visit order, so
 // working in list order rather than sorted link order changes nothing
 // observable.
-func (s *Simulator) assignVCs() {
-	kept := s.waiting[:0]
-	for _, l := range s.waiting {
+func (k *kernel) assignVCs() {
+	kept := k.waiting[:0]
+	for _, l := range k.waiting {
 		if len(l.pending) == 0 {
 			l.queued = false
 			continue
 		}
-		switch s.cfg.Arbiter {
+		switch k.cfg.Arbiter {
 		case Preemptive:
 			// Each header may only take the VC of its own priority.
-			s.sortPending(l, true)
+			k.sortPending(l, true)
 			rest := l.pending[:0]
 			for _, m := range l.pending {
-				idx := s.pathIndex(m, l)
+				idx := k.pathIndex(m, l)
 				if l.vcs[m.prio].owner == nil {
 					l.vcs[m.prio].owner = m
 					m.vcHeld[idx] = m.prio
-					s.trace(trace.Event{Cycle: s.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: m.prio})
+					k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: m.prio})
 				} else {
 					rest = append(rest, m)
 				}
@@ -282,10 +355,10 @@ func (s *Simulator) assignVCs() {
 		case Li:
 			// A header may take the highest free VC numbered at or
 			// below its priority.
-			s.sortPending(l, true)
+			k.sortPending(l, true)
 			rest := l.pending[:0]
 			for _, m := range l.pending {
-				idx := s.pathIndex(m, l)
+				idx := k.pathIndex(m, l)
 				got := -1
 				for v := m.prio; v >= 0; v-- {
 					if l.vcs[v].owner == nil {
@@ -296,21 +369,21 @@ func (s *Simulator) assignVCs() {
 				if got >= 0 {
 					l.vcs[got].owner = m
 					m.vcHeld[idx] = got
-					s.trace(trace.Event{Cycle: s.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: got})
+					k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: got})
 				} else {
 					rest = append(rest, m)
 				}
 			}
 			l.pending = rest
 		case NonPreemptiveFIFO, NonPreemptivePriority:
-			s.sortPending(l, s.cfg.Arbiter == NonPreemptivePriority)
+			k.sortPending(l, k.cfg.Arbiter == NonPreemptivePriority)
 			if l.vcs[0].owner == nil {
 				m := l.pending[0]
-				idx := s.pathIndex(m, l)
+				idx := k.pathIndex(m, l)
 				l.vcs[0].owner = m
 				m.vcHeld[idx] = 0
 				l.pending = l.pending[1:]
-				s.trace(trace.Event{Cycle: s.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: 0})
+				k.trace(trace.Event{Cycle: k.now, Kind: trace.VCAcquire, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: 0})
 			}
 		}
 		if len(l.pending) > 0 {
@@ -319,7 +392,7 @@ func (s *Simulator) assignVCs() {
 			l.queued = false
 		}
 	}
-	s.waiting = kept
+	k.waiting = kept
 }
 
 // sortPending orders a link's waiting headers: by priority (descending)
@@ -328,7 +401,7 @@ func (s *Simulator) assignVCs() {
 // so a stable insertion sort beats sort.SliceStable and, unlike it,
 // allocates nothing — this runs for every link with waiters every
 // cycle.
-func (s *Simulator) sortPending(l *link, byPriority bool) {
+func (k *kernel) sortPending(l *link, byPriority bool) {
 	p := l.pending
 	for i := 1; i < len(p); i++ {
 		m := p[i]
@@ -352,9 +425,9 @@ func pendingBefore(a, b *message, byPriority bool) bool {
 // pathIndex returns the index of link l within m's path. Headers only
 // wait at the channel they are about to cross, so the header position
 // identifies it.
-func (s *Simulator) pathIndex(m *message, l *link) int {
+func (k *kernel) pathIndex(m *message, l *link) int {
 	i := m.headerAt()
-	if i >= m.hops() || m.s.Path.Channels[i] != l.ch {
+	if i >= m.hops() || m.links[i] != l {
 		panic(fmt.Sprintf("sim: message %d/%d header not at link %s", m.s.ID, m.seq, l.ch))
 	}
 	return i
@@ -367,9 +440,9 @@ func (s *Simulator) pathIndex(m *message, l *link) int {
 // what a scan over a materialized candidate list would pick. Every VC
 // holds at most one message, so candidates on one link occupy distinct
 // VCs and the incremental maximum is order-independent.
-func (s *Simulator) collectCandidates() {
-	rl, depth := s.rl, s.cfg.BufferDepth
-	for _, m := range s.active {
+func (k *kernel) collectCandidates() {
+	rl, depth := k.rl, k.depth
+	for _, m := range k.active {
 		C := m.s.Length
 		crossed, vcHeld := m.crossed, m.vcHeld
 		// VCs are held on the contiguous range starting at m.lo (the
@@ -412,11 +485,11 @@ func (s *Simulator) collectCandidates() {
 			}
 			ord := m.ords[i]
 			w, bit := ord>>6, uint64(1)<<(uint32(ord)&63)
-			if s.candMask[w]&bit == 0 {
-				s.candMask[w] |= bit
-				s.candBest[ord] = candidate{m: m, idx: i}
-			} else if b := &s.candBest[ord]; vcHeld[i] > b.m.vcHeld[b.idx] {
-				s.candBest[ord] = candidate{m: m, idx: i}
+			if k.candMask[w]&bit == 0 {
+				k.candMask[w] |= bit
+				k.candBest[ord] = candidate{m: m, idx: i}
+			} else if b := &k.candBest[ord]; vcHeld[i] > b.m.vcHeld[b.idx] {
+				k.candBest[ord] = candidate{m: m, idx: i}
 			}
 			m.hadCandidate = true
 		}
@@ -431,19 +504,17 @@ func (s *Simulator) collectCandidates() {
 // priority rule the winner additionally transmits only when it sits on
 // the highest occupied VC (the paper's literal formulation: VC v
 // obtains bandwidth only if every higher VC is completely free).
-func (s *Simulator) moveFlits() {
-	strict := s.cfg.StrictPhysicalPriority &&
-		s.cfg.Arbiter != NonPreemptiveFIFO && s.cfg.Arbiter != NonPreemptivePriority
-	for w, word := range s.candMask {
+func (k *kernel) moveFlits() {
+	for w, word := range k.candMask {
 		if word == 0 {
 			continue
 		}
-		s.candMask[w] = 0
+		k.candMask[w] = 0
 		for ; word != 0; word &= word - 1 {
 			ord := w<<6 + bits.TrailingZeros64(word)
-			c := s.candBest[ord]
-			l := s.linkOrder[ord]
-			if strict {
+			c := k.candBest[ord]
+			l := k.links[ord]
+			if k.strict {
 				top := -1
 				for v := len(l.vcs) - 1; v >= 0; v-- {
 					if l.vcs[v].owner != nil {
@@ -455,29 +526,28 @@ func (s *Simulator) moveFlits() {
 					continue
 				}
 			}
-			s.advance(l, &c)
+			k.advance(l, &c)
 		}
 	}
 }
 
 // advance moves one flit of m across path channel idx, handling header
 // arrival at the next hop, tail VC release and delivery accounting.
-func (s *Simulator) advance(l *link, c *candidate) {
+func (k *kernel) advance(l *link, c *candidate) {
 	m, i := c.m, c.idx
 	m.crossed[i]++
 	m.advanced = true
-	l.busy++
 	l.flits++
 	if i+1 < m.hops() {
-		if s.rl > 0 {
+		if k.rl > 0 {
 			// The flit enters the next router's pipeline; promote()
 			// surfaces it (and the header's VC request) later.
-			m.inflight[i+1] = append(m.inflight[i+1], s.now)
+			m.inflight[i+1] = append(m.inflight[i+1], k.now)
 		} else if m.crossed[i] == 1 {
 			// Header arrived at the next router: request a VC there.
-			s.stamp++
-			m.arrival = s.stamp
-			s.addPending(m.links[i+1], m)
+			k.stamp++
+			m.arrival = k.stamp
+			k.addPending(m.links[i+1], m)
 		}
 	}
 	if m.crossed[i] == m.s.Length {
@@ -488,11 +558,11 @@ func (s *Simulator) advance(l *link, c *candidate) {
 		if i == m.lo {
 			m.lo++
 		}
-		if s.cfg.Tracer != nil {
-			s.trace(trace.Event{Cycle: s.now + 1, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
+		if k.cfg.Tracer != nil {
+			k.trace(trace.Event{Cycle: k.now + 1, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
 		}
 		if i == m.hops()-1 {
-			s.deliver(m)
+			k.deliver(m)
 		}
 	}
 }
@@ -502,17 +572,17 @@ func (s *Simulator) advance(l *link, c *candidate) {
 // cycle ts + 1 + RouterLatency (the +1 matches the zero-latency model,
 // where a crossing is visible the following cycle). The header's
 // arrival additionally enqueues its VC request.
-func (s *Simulator) promote() {
-	for _, m := range s.active {
+func (k *kernel) promote() {
+	for _, m := range k.active {
 		for i := 1; i < m.hops(); i++ {
 			q := m.inflight[i]
-			for len(q) > 0 && s.now-q[0] >= 1+s.rl {
+			for len(q) > 0 && k.now-q[0] >= 1+k.rl {
 				q = q[1:]
 				m.visible[i]++
 				if m.visible[i] == 1 {
-					s.stamp++
-					m.arrival = s.stamp
-					s.addPending(m.links[i], m)
+					k.stamp++
+					m.arrival = k.stamp
+					k.addPending(m.links[i], m)
 				}
 			}
 			m.inflight[i] = q
@@ -523,10 +593,10 @@ func (s *Simulator) promote() {
 // dropLate aborts every in-flight message older than its deadline:
 // held VCs are released, pending-header entries withdrawn, and the
 // message retired as Dropped.
-func (s *Simulator) dropLate() {
-	kept := s.active[:0]
-	for _, m := range s.active {
-		if s.now-m.genTime <= m.s.Deadline {
+func (k *kernel) dropLate() {
+	kept := k.active[:0]
+	for _, m := range k.active {
+		if k.now-m.genTime <= m.s.Deadline {
 			kept = append(kept, m)
 			continue
 		}
@@ -540,14 +610,13 @@ func (s *Simulator) dropLate() {
 				l := m.links[i]
 				l.vcs[vcIdx].owner = nil
 				m.vcHeld[i] = -1
-				s.trace(trace.Event{Cycle: s.now, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
+				k.trace(trace.Event{Cycle: k.now, Kind: trace.VCRelease, Stream: m.s.ID, Seq: m.seq, Link: l.ch, VC: vcIdx})
 			}
 		}
-		st := &s.stats.PerStream[m.s.ID]
-		st.Dropped++
-		s.retired = append(s.retired, m)
+		k.res.PerStream[m.s.ID].Dropped++
+		k.retired = append(k.retired, m)
 	}
-	s.active = kept
+	k.active = kept
 }
 
 // accountStalls classifies, for every message still in flight, why it
@@ -556,10 +625,10 @@ func (s *Simulator) dropLate() {
 // (the classic wormhole hold-and-wait). The counts land in the
 // per-stream statistics and decompose observed latency into its
 // blocking causes.
-func (s *Simulator) accountStalls() {
-	for _, m := range s.active {
-		if m.genTime >= s.cfg.Warmup {
-			st := &s.stats.PerStream[m.s.ID]
+func (k *kernel) accountStalls() {
+	for _, m := range k.active {
+		if m.genTime >= k.cfg.Warmup {
+			st := &k.res.PerStream[m.s.ID]
 			switch {
 			case m.advanced:
 				st.ProgressCycles++
@@ -571,7 +640,7 @@ func (s *Simulator) accountStalls() {
 				st.BufferStallCycles++
 			}
 		}
-		if s.cfg.DeadlockThreshold > 0 {
+		if k.cfg.DeadlockThreshold > 0 {
 			holdsVC := false
 			for _, v := range m.vcHeld {
 				if v >= 0 {
@@ -583,45 +652,54 @@ func (s *Simulator) accountStalls() {
 				m.stale = 0
 			} else {
 				m.stale++
-				if m.stale >= s.cfg.DeadlockThreshold && !m.flagged {
+				if m.stale >= k.cfg.DeadlockThreshold && !m.flagged {
 					m.flagged = true
-					s.stats.PerStream[m.s.ID].DeadlockSuspects++
-					if s.stats.FirstDeadlockCycle < 0 {
-						s.stats.FirstDeadlockCycle = s.now
+					k.res.PerStream[m.s.ID].DeadlockSuspects++
+					// Kernels over disjoint components run one after
+					// another, each from cycle 0: keep the earliest.
+					if k.res.FirstDeadlockCycle < 0 || k.now < k.res.FirstDeadlockCycle {
+						k.res.FirstDeadlockCycle = k.now
 					}
 				}
 			}
 		}
+		if m.advPrev && !m.advanced {
+			// A free-flowing message just blocked: the event engine's
+			// park path opens, so any scheduled-retry estimate computed
+			// under the old regime is stale. (The opposite flip — a
+			// blocked message resuming — keeps its window-overlap
+			// estimate valid: retiring traffic already forces an
+			// attempt.)
+			k.nextTry = 0
+		}
+		m.advPrev = m.advanced
+		m.candPrev = m.hadCandidate
 		m.advanced = false
 		m.hadCandidate = false
 	}
 }
 
 // trace emits an event if a tracer is configured.
-func (s *Simulator) trace(e trace.Event) {
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Event(e)
+func (k *kernel) trace(e trace.Event) {
+	if k.cfg.Tracer != nil {
+		k.cfg.Tracer.Event(e)
 	}
 }
 
 // deliver records a completed message and retires it.
-func (s *Simulator) deliver(m *message) {
-	latency := s.now + 1 - m.genTime // the flit crosses during cycle now..now+1
-	s.trace(trace.Event{Cycle: s.now + 1, Kind: trace.Deliver, Stream: m.s.ID, Seq: m.seq})
-	st := &s.stats.PerStream[m.s.ID]
+func (k *kernel) deliver(m *message) {
+	latency := k.now + 1 - m.genTime // the flit crosses during cycle now..now+1
+	k.trace(trace.Event{Cycle: k.now + 1, Kind: trace.Deliver, Stream: m.s.ID, Seq: m.seq})
+	st := &k.res.PerStream[m.s.ID]
 	st.Delivered++
-	if m.genTime >= s.cfg.Warmup {
+	if m.genTime >= k.cfg.Warmup {
 		st.observe(latency, m.s.Deadline)
 	}
-	for i, a := range s.active {
+	for i, a := range k.active {
 		if a == m {
-			s.active = append(s.active[:i], s.active[i+1:]...)
+			k.active = append(k.active[:i], k.active[i+1:]...)
 			break
 		}
 	}
-	s.retired = append(s.retired, m)
+	k.retired = append(k.retired, m)
 }
-
-// Now returns the current simulation time (useful to instrument partial
-// runs in tests).
-func (s *Simulator) Now() int { return s.now }

@@ -1,4 +1,4 @@
-package eventsim
+package sim
 
 import "testing"
 
@@ -57,7 +57,7 @@ func TestFlightMathAgainstCA(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4} {
 		for H := 1; H <= 4; H++ {
 			for C := 1; C <= 4; C++ {
-				c := &comp{depth: d}
+				c := &comp{kernel: kernel{depth: d}}
 				for _, snap := range consistentStates(H, C, d) {
 					if snap[H-1] >= C {
 						continue // already delivered

@@ -12,9 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -54,113 +52,16 @@ func hashResult(r *sim.Result) string {
 
 func sum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)) }
 
-// goldenRun is one pinned cycle-engine configuration.
-type goldenRun struct {
-	label string
-	set   *stream.Set
-	cfg   sim.Config
-}
-
 // goldenRuns enumerates the pinned configurations: the differential
-// battery (five topologies × three generator seeds × every arbiter ×
-// buffer depths 1–2 × one extra knob), the five dense §5 workloads at
-// the paper's horizon, and one router-pipeline set.
-func goldenRuns(t *testing.T) []goldenRun {
-	t.Helper()
-	var runs []goldenRun
-	topos := []struct {
-		name    string
-		streams int
-		plevels int
-	}{
-		{"mesh2d-6x6", 14, 4},
-		{"mesh2d-10x10", 20, 4},
-		{"ring-8", 8, 3},
-		{"hypercube-3", 7, 2},
-		{"torus2d-4x4", 12, 4},
-	}
-	arbs := []sim.ArbiterKind{sim.Preemptive, sim.NonPreemptiveFIFO, sim.NonPreemptivePriority, sim.Li}
-	extras := []string{"plain", "strict", "droplate", "jitter", "offsets", "deadlock"}
-	for _, tp := range topos {
-		topo, err := topology.Parse(tp.name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(1); seed <= 3; seed++ {
-			set, _, err := workload.GenerateOn(topo, workload.PaperDefaults(tp.streams, tp.plevels, seed))
-			if err != nil {
-				t.Fatalf("%s/seed%d: %v", tp.name, seed, err)
-			}
-			for _, arb := range arbs {
-				for _, depth := range []int{1, 2} {
-					for _, extra := range extras {
-						cfg := sim.Config{Cycles: 1200, Warmup: 100, Arbiter: arb, BufferDepth: depth}
-						switch extra {
-						case "strict":
-							cfg.StrictPhysicalPriority = true
-						case "droplate":
-							cfg.DropLate = true
-						case "jitter":
-							cfg.SporadicJitter = 9
-							cfg.JitterSeed = seed * 7
-						case "offsets":
-							offs := make([]int, set.Len())
-							for i := range offs {
-								offs[i] = (i * 11) % 17
-							}
-							cfg.Offsets = offs
-						case "deadlock":
-							cfg.DeadlockThreshold = 40
-						}
-						runs = append(runs, goldenRun{
-							label: fmt.Sprintf("%s/seed%d/%v/d%d/%s", tp.name, seed, arb, depth, extra),
-							set:   set,
-							cfg:   cfg,
-						})
-					}
-				}
-			}
-		}
-	}
-	for _, w := range []struct {
-		streams, levels int
-		seed            int64
-	}{
-		{20, 4, 8922},
-		{20, 3, 42},
-		{60, 11, 15880},
-		{20, 4, 209465},
-		{20, 4, 314194},
-	} {
-		set, _, err := workload.Generate(workload.PaperDefaults(w.streams, w.levels, w.seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs = append(runs, goldenRun{
-			label: fmt.Sprintf("paper/%d-%d-seed%d", w.streams, w.levels, w.seed),
-			set:   set,
-			cfg:   sim.Config{Cycles: 30000, Warmup: 200, Arbiter: sim.Preemptive},
-		})
-	}
-	m := topology.NewMesh2D(4, 4)
-	r := routing.NewXY(m)
-	set := stream.NewSetWithRouterLatency(m, 2)
-	for _, sp := range [][6]int{
-		{0, 15, 3, 40, 6, 120},
-		{3, 12, 2, 35, 4, 110},
-		{5, 6, 1, 25, 8, 90},
-		{4, 7, 2, 50, 3, 100},
-	} {
-		if _, err := set.Add(r, topology.NodeID(sp[0]), topology.NodeID(sp[1]), sp[2], sp[3], sp[4], sp[5]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runs = append(runs, goldenRun{
+// battery, the five dense §5 workloads at the paper's horizon, and one
+// router-pipeline set.
+func goldenRuns(t *testing.T) []engineRun {
+	runs := append(batteryRuns(t), paperSeedRuns(t)...)
+	return append(runs, engineRun{
 		label: "routerlatency/rl2/d1/droplate",
-		set:   set,
+		set:   routerLatencySet(t, 2),
 		cfg:   sim.Config{Cycles: 1500, Warmup: 100, BufferDepth: 1, DropLate: true},
 	})
-	return runs
 }
 
 // TestCycleEngineGolden pins the cycle engine's results to recorded

@@ -1,6 +1,4 @@
-package eventsim
-
-import "repro/internal/sim"
+package sim
 
 // farCycle is the "never" sentinel for scheduled cycles; it exceeds any
 // horizon by orders of magnitude.
@@ -366,8 +364,7 @@ func (c *comp) addFlight(li, t int) {
 	if c.cfg.DropLate && c.lat[li] >= st.Deadline+2 {
 		f.drop = t + st.Deadline + 1
 	}
-	c.nextSeq[li]++
-	c.nextRel[li], c.relIdx[li] = c.sched.advance(c.gidx[li], c.nextRel[li], c.relIdx[li])
+	c.nextRelease(li)
 	c.flights = append(c.flights, f)
 }
 
@@ -381,7 +378,7 @@ func (c *comp) deliverFlight(f *flight) {
 	ps.Delivered++
 	lat := f.deliver - f.t0 + 1
 	if f.t0 >= c.cfg.Warmup {
-		observe(ps, lat, st.Deadline)
+		ps.observe(lat, st.Deadline)
 		ps.ProgressCycles += lat - 1 - f.acct
 	}
 	H, C := st.Path.Hops(), st.Length
@@ -400,6 +397,20 @@ func (c *comp) deliverFlight(f *flight) {
 func (c *comp) dropFlight(f *flight) {
 	c.creditFlight(f, f.drop)
 	c.res.PerStream[c.streams[f.li].ID].Dropped++
+}
+
+// creditPark books the stall cycles parked message m accumulated up to
+// the start of cycle t. The regime is constant while frozen, so the
+// stall kind observed at park time holds for every skipped cycle.
+func (c *comp) creditPark(m *message, t int) {
+	if n := t - m.parkFrom; n > 0 && m.genTime >= c.cfg.Warmup {
+		ps := &c.res.PerStream[m.s.ID]
+		if m.candPrev {
+			ps.ArbStallCycles += n
+		} else {
+			ps.VCStallCycles += n
+		}
+	}
 }
 
 // creditFlight books f's not-yet-accounted activity up to the start of
@@ -507,20 +518,11 @@ func (c *comp) enterCycleMode(t int) {
 	c.nextTry = 0
 	c.reentry = farCycle
 	// Unpark frozen messages first: book the stall cycles the kernel
-	// would have accumulated (the regime is constant while frozen, so
-	// the stall kind observed at park time holds for every skipped
-	// cycle), restore their VC ownership and pending registration, and
+	// would have accumulated, restore their VC ownership and pending registration, and
 	// return them to the active list. Their original arrival stamps are
 	// older than any stamp issued below, preserving arbitration order.
 	for _, m := range c.parked {
-		if n := t - m.parkFrom; n > 0 && m.genTime >= c.cfg.Warmup {
-			ps := &c.res.PerStream[m.st.ID]
-			if m.candPrev {
-				ps.ArbStallCycles += n
-			} else {
-				ps.VCStallCycles += n
-			}
-		}
+		c.creditPark(m, t)
 		for i, v := range m.vcHeld {
 			if v >= 0 {
 				m.links[i].vcs[v].owner = m
@@ -631,12 +633,12 @@ func (c *comp) materialize(f *flight, stamp int64, t int) {
 // header may at most hold that same VC on its current link. This is a
 // state check, not a history check: a message in a representable state
 // evolves identically from here on however it got there.
-func (c *comp) freeState(m *cmsg) bool {
+func (c *comp) freeState(m *message) bool {
 	vc := 0
 	if c.schemeVC {
 		vc = m.prio
 	}
-	C := m.st.Length
+	C := m.s.Length
 	h := -1
 	for i := 0; i < len(m.crossed); i++ {
 		cr := m.crossed[i]
@@ -664,7 +666,7 @@ func (c *comp) freeState(m *cmsg) bool {
 // convert builds a generalized flight from a free-flow-consistent
 // kernel message at the current cycle, projecting its delivery and
 // per-link occupancy windows from the state snapshot.
-func (c *comp) convert(m *cmsg) *flight {
+func (c *comp) convert(m *message) *flight {
 	st := c.streams[m.li]
 	H, C := st.Path.Hops(), st.Length
 	f := c.newFlight()
@@ -723,9 +725,9 @@ func (c *comp) convert(m *cmsg) *flight {
 // msgStair reports whether advancing active m sits exactly on the
 // from-release staircase (it never stalled), which makes its window
 // projections collapse to the closed forms.
-func (c *comp) msgStair(m *cmsg) bool {
+func (c *comp) msgStair(m *message) bool {
 	a := c.now - m.genTime
-	C := m.st.Length
+	C := m.s.Length
 	H := len(m.crossed)
 	for j, cr := range m.crossed {
 		if cr != stairCrossed(a, j, C, c.depth, H) {
@@ -739,8 +741,8 @@ func (c *comp) msgStair(m *cmsg) bool {
 // path link j directly from live kernel state — bound for bound what
 // convert would store in the flight (including the VC-hold extension
 // of the window start). Empty (first > last) once the tail cleared j.
-func (c *comp) msgWin(m *cmsg, stair bool, j int) (int, int) {
-	C := m.st.Length
+func (c *comp) msgWin(m *message, stair bool, j int) (int, int) {
+	C := m.s.Length
 	H := len(m.crossed)
 	if m.crossed[j] >= C {
 		return farCycle, -farCycle
@@ -816,7 +818,7 @@ func (c *comp) tryRefresh() {
 				w = c.parkWakeVC(m)
 			}
 			if c.cfg.DropLate {
-				if dc := m.genTime + m.st.Deadline + 1; dc < w {
+				if dc := m.genTime + m.s.Deadline + 1; dc < w {
 					w = dc
 				}
 			}
@@ -961,7 +963,7 @@ func (c *comp) tryRefresh() {
 // where parkWakeArb's dense higher-VC coverage argument applies. With
 // deadlock detection on, a frozen message's stale counter would need
 // per-cycle tracking, so parking is disabled entirely.
-func (c *comp) parkShape(m *cmsg) bool {
+func (c *comp) parkShape(m *message) bool {
 	if c.cfg.DeadlockThreshold > 0 {
 		return false
 	}
@@ -981,14 +983,14 @@ func (c *comp) parkShape(m *cmsg) bool {
 // one cycle later. Until that minimum, the waiter's pending entry wins
 // any arrival-ordered tie but receives nothing, so its state is
 // constant.
-func (c *comp) parkWakeVC(m *cmsg) int {
+func (c *comp) parkWakeVC(m *message) int {
 	h := m.headerAt()
 	l := m.links[h]
 	lo, hi := 0, 0
 	switch c.cfg.Arbiter {
-	case sim.Preemptive:
+	case Preemptive:
 		lo, hi = m.prio, m.prio
-	case sim.Li:
+	case Li:
 		lo, hi = 0, m.prio
 	}
 	wake := farCycle
@@ -1000,7 +1002,7 @@ func (c *comp) parkWakeVC(m *cmsg) int {
 		if !o.advPrev {
 			continue // a parked owner holds past any wake
 		}
-		Ho, Co := o.hops(), o.st.Length
+		Ho, Co := o.hops(), o.s.Length
 		w := farCycle
 		for _, p := range c.pairs[m.li][o.li] {
 			if p.pa != h {
@@ -1011,7 +1013,7 @@ func (c *comp) parkWakeVC(m *cmsg) int {
 			}
 		}
 		if c.cfg.DropLate {
-			if dc := o.genTime + o.st.Deadline + 1; dc < w {
+			if dc := o.genTime + o.s.Deadline + 1; dc < w {
 				w = dc
 			}
 		}
@@ -1032,8 +1034,8 @@ func (c *comp) parkWakeVC(m *cmsg) int {
 // equal-VC traffic reaching a candidate link earlier forces re-entry
 // through the VC rule (in conflicts and the refresh screen) or the
 // flight-flight overlap with the coverer.
-func (c *comp) parkWakeArb(m *cmsg) int {
-	C := m.st.Length
+func (c *comp) parkWakeArb(m *message) int {
+	C := m.s.Length
 	wake := farCycle
 	cand := false
 	for i := m.lo; i < len(m.crossed); i++ {
@@ -1071,7 +1073,7 @@ func (c *comp) parkWakeArb(m *cmsg) int {
 // carry a buffer bubble that propagates upstream and skips a cycle on
 // the link, and on that cycle the parked message wins — so only
 // contiguous runs of per-flit crossing cycles extend the cover.
-func (c *comp) coverEnd(m *cmsg, i int) int {
+func (c *comp) coverEnd(m *message, i int) int {
 	vc := m.vcHeld[i]
 	end := c.now - 1
 	for changed := true; changed; {
@@ -1080,7 +1082,7 @@ func (c *comp) coverEnd(m *cmsg, i int) int {
 			if !o.advPrev || (c.schemeVC && c.prio[o.li] <= vc) || (!c.schemeVC && vc >= 0) {
 				continue
 			}
-			Ho, Co := o.hops(), o.st.Length
+			Ho, Co := o.hops(), o.s.Length
 			for _, p := range c.pairs[m.li][o.li] {
 				if p.pa != i || o.crossed[p.pb] >= Co {
 					continue
@@ -1089,7 +1091,7 @@ func (c *comp) coverEnd(m *cmsg, i int) int {
 				ce := c.stairT(o.crossed, c.now, Co, p.pb, Ho)
 				dc := farCycle
 				if c.cfg.DropLate {
-					dc = o.genTime + o.st.Deadline + 1
+					dc = o.genTime + o.s.Deadline + 1
 				}
 				if ce-cs == Co-o.crossed[p.pb]-1 {
 					// One crossing per cycle: the span is a single run.

@@ -1,19 +1,20 @@
-package eventsim
+package sim
 
 import (
 	"math/rand"
 
-	"repro/internal/sim"
 	"repro/internal/stream"
 )
 
-// schedule is the global release plan. Periodic sources (no jitter)
-// need only arithmetic — offset, offset+T, offset+2T, … — but sporadic
-// sources consume draws from one shared RNG in the oracle's global
-// interleaving (by cycle, then by stream index), which conflict
-// components simulated independently cannot reproduce on the fly. For
-// jitter runs the constructor therefore replays the draw sequence once
-// up front and stores each stream's explicit release cycles.
+// schedule is the release plan every kernel reads. Periodic sources
+// (no jitter) need only arithmetic — offset, offset+T, offset+2T, … —
+// but sporadic sources draw their extra gaps from one RNG seeded by
+// Config.JitterSeed, one draw per release in global release order (by
+// cycle, then by stream index). A kernel over one conflict component
+// sees only its own streams' releases and cannot reproduce that order
+// on the fly, so for jitter runs the constructor replays the draw
+// sequence once up front and stores each stream's explicit release
+// cycles.
 type schedule struct {
 	cycles  int
 	periods []int
@@ -21,7 +22,7 @@ type schedule struct {
 	jit     [][]int // per-stream release cycles; nil when jitter == 0
 }
 
-func newSchedule(set *stream.Set, cfg sim.Config) *schedule {
+func newSchedule(set *stream.Set, cfg Config) *schedule {
 	n := set.Len()
 	sch := &schedule{
 		cycles:  cfg.Cycles,
@@ -37,12 +38,11 @@ func newSchedule(set *stream.Set, cfg sim.Config) *schedule {
 	if cfg.SporadicJitter == 0 {
 		return sch
 	}
-	// Replay the oracle's draw order: the cycle engine releases stream
-	// i at cycle v exactly when its next-release value reaches v (the
-	// value never lags the clock, since periods are >= 1), and draws
-	// one jitter sample per release, scanning streams in index order
-	// within a cycle. Picking the minimum (value, stream) pair until
-	// the horizon reproduces that order exactly.
+	// Replay the draw order: stream i releases at cycle v exactly when
+	// its next-release value reaches v (the value never lags the clock,
+	// since periods are >= 1) and draws one jitter sample per release,
+	// streams in index order within a cycle. Picking the minimum
+	// (value, stream) pair until the horizon reproduces that order.
 	rng := rand.New(rand.NewSource(cfg.JitterSeed))
 	next := make([]int, n)
 	copy(next, sch.starts)

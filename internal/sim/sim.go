@@ -162,6 +162,7 @@ func (c *Config) withDefaults(n int) (Config, error) {
 // release(), so steady-state traffic allocates nothing.
 type message struct {
 	s       *stream.Stream
+	li      int     // the stream's index within its kernel
 	links   []*link // the link of each path channel, shared per stream
 	ords    []int32 // each path link's ordinal, shared per stream
 	buf     []int   // backing array of the per-hop counters, recycled
@@ -180,14 +181,22 @@ type message struct {
 	// router i's pipeline. Unused (nil) when RouterLatency is 0.
 	visible  []int
 	inflight [][]int
-	arrival  int64 // global arrival stamp for FIFO tie-breaking
+	arrival  int64 // arrival stamp for FIFO tie-breaking
 	prio     int   // priority level index (0 = lowest)
 
-	// Per-cycle stall-accounting flags, reset by the engine.
+	// Per-cycle stall-accounting flags, reset by accountStalls.
 	hadCandidate bool
 	advanced     bool
 	stale        int // consecutive cycles without progress while holding a VC
 	flagged      bool
+
+	// Park bookkeeping for the event engine: advPrev/candPrev are last
+	// cycle's activity flags, kept across accountStalls' reset so
+	// tryRefresh can classify the message; parkFrom is the first
+	// frozen cycle of a parked message.
+	advPrev  bool
+	candPrev bool
+	parkFrom int
 }
 
 func (m *message) hops() int { return len(m.crossed) }
@@ -210,22 +219,23 @@ type vc struct {
 }
 
 // link is one directed physical channel with its virtual channels and
-// the headers waiting for a VC assignment. All links of a simulator
-// live in one contiguous array in deterministic channel order; the
-// per-cycle arbitration state (cycle stamp, winning candidate) lives
-// in dense per-ordinal arrays on the Simulator, so the cycle loop
-// walks cache-friendly memory instead of chasing per-link pointers.
+// the headers waiting for a VC assignment. All links of a kernel live
+// in one contiguous array in channel scan order; the per-cycle
+// arbitration state (winning candidate per link) lives in dense
+// per-ordinal arrays on the kernel, so the cycle loop walks
+// cache-friendly memory instead of chasing per-link pointers.
 type link struct {
 	ch      topology.Channel
 	vcs     []vc
 	pending []*message // headers waiting to acquire a VC, arrival order
-	// Channel activity counters, flushed into Result.PerChannel at the
-	// end of the run (a map update per crossed flit is too hot).
-	busy  int
+	// flits counts the flits that crossed the channel, flushed into
+	// Result.PerChannel at the end of the run (a map update per
+	// crossed flit is too hot). A channel carries at most one flit
+	// per cycle, so the count is also its busy-cycle count.
 	flits int
-	// queued marks membership in the simulator's waiting list (links
-	// with headers pending a VC), so assignVCs visits only those
-	// instead of scanning every link every cycle.
+	// queued marks membership in the kernel's waiting list (links with
+	// headers pending a VC), so assignVCs visits only those instead of
+	// scanning every link every cycle.
 	queued bool
 }
 

@@ -1,6 +1,4 @@
-package eventsim
-
-import "repro/internal/sim"
+package sim
 
 // runSolo is the batched fast path for a single-stream component whose
 // release gap can never overlap its own occupancy window (period >=
@@ -36,7 +34,6 @@ func (c *comp) runSolo() bool {
 			dropFlits[i] = stairCrossed(st.Deadline+1, i, C, c.depth, H)
 		}
 	}
-	unfinished := 0
 	rel, idx := c.nextRel[0], c.relIdx[0]
 	for rel < cycles {
 		ps.Generated++
@@ -59,26 +56,21 @@ func (c *comp) runSolo() bool {
 				ps.ProgressCycles += cycles - rel
 			}
 			ps.Unfinished++
-			unfinished++
+			c.res.Unfinished++
 		default:
 			ps.Delivered++
 			if rel >= warmup {
-				observe(ps, lat, st.Deadline)
+				ps.observe(lat, st.Deadline)
 				ps.ProgressCycles += lat - 1
 			}
 			for _, l := range links {
 				l.flits += C
 			}
 		}
-		rel, idx = c.sched.advance(c.gidx[0], rel, idx)
+		rel, idx = c.sched.advance(int(st.ID), rel, idx)
 	}
 	c.nextRel[0], c.relIdx[0] = rel, idx
 	c.now = cycles
-	c.unfinished = unfinished
-	for _, l := range c.links {
-		if l.flits > 0 {
-			c.res.PerChannel[l.ch] = sim.ChannelStats{BusyCycles: l.flits, Flits: l.flits}
-		}
-	}
+	c.kernel.finish()
 	return true
 }

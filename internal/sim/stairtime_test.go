@@ -1,4 +1,4 @@
-package eventsim
+package sim
 
 import "testing"
 
@@ -9,7 +9,7 @@ func TestStairTimeAgainstStairT(t *testing.T) {
 	for _, d := range []int{1, 2, 3} {
 		for H := 1; H <= 5; H++ {
 			for C := 1; C <= 5; C++ {
-				c := &comp{depth: d}
+				c := &comp{kernel: kernel{depth: d}}
 				const t0 = 100
 				for a := 0; a <= 2*(H+2*C); a++ {
 					snap := make([]int, H)
