@@ -238,7 +238,7 @@ func (k *kernel) finish() {
 // cursor to the next one in the plan.
 func (k *kernel) nextRelease(li int) {
 	k.nextSeq[li]++
-	k.nextRel[li], k.relIdx[li] = k.sched.advance(int(k.streams[li].ID), k.nextRel[li], k.relIdx[li])
+	k.nextRel[li], k.relIdx[li] = k.sched.next(int(k.streams[li].ID), k.nextRel[li], k.relIdx[li])
 }
 
 // release activates every message whose release time is the current

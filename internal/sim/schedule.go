@@ -78,10 +78,10 @@ func (sch *schedule) start(gi int) (rel, idx int) {
 	return sch.starts[gi], 0
 }
 
-// advance consumes the release at (cur, idx) and returns the next
+// next consumes the release at (cur, idx) and returns the following
 // one. Periodic streams never exhaust; sporadic streams return the
 // horizon as a sentinel once the precomputed plan runs out.
-func (sch *schedule) advance(gi, cur, idx int) (int, int) {
+func (sch *schedule) next(gi, cur, idx int) (int, int) {
 	if sch.jit != nil {
 		if idx+1 >= len(sch.jit[gi]) {
 			return sch.cycles, idx + 1

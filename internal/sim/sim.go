@@ -26,6 +26,13 @@
 // channel per link (exhibiting the priority inversion of Figure 2), and
 // Li's scheme in which a message may acquire any free VC numbered at or
 // below its priority.
+//
+// Two engines run the model on one cycle kernel. Simulator (New) steps
+// the kernel over every stream, cycle by cycle; it is the oracle and
+// the only engine that traces. EventSimulator (NewEvent) splits the
+// streams into conflict components, jumps free-flowing stretches in
+// closed form, and steps a kernel per component through contended
+// windows only, with byte-identical results.
 package sim
 
 import (

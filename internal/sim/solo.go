@@ -67,7 +67,7 @@ func (c *comp) runSolo() bool {
 				l.flits += C
 			}
 		}
-		rel, idx = c.sched.advance(int(st.ID), rel, idx)
+		rel, idx = c.sched.next(int(st.ID), rel, idx)
 	}
 	c.nextRel[0], c.relIdx[0] = rel, idx
 	c.now = cycles
